@@ -111,20 +111,18 @@ TagCache::access(Addr addr)
 }
 
 CacheOutcome
-TagCache::accessAngled(Addr addr, float angle_rad, float threshold_rad)
+TagCache::accessAngled(Addr addr, u8 angle_code, float threshold_rad)
 {
     TEXPIM_PROF_COUNT(prof::kZoneTagCache, 1);
     Addr line = lineAddr(addr);
     unsigned set = unsigned((line / params_.lineBytes) % num_sets_);
     ++use_clock_;
 
-    u8 code = quantizeAngle(angle_rad);
-
     if (Line *l = findLine(set, line)) {
         l->lastUse = use_clock_;
         bool never_recalc = threshold_rad < 0.0f;
-        float diff =
-            std::fabs(dequantizeAngle(l->angleCode) - dequantizeAngle(code));
+        float diff = std::fabs(dequantizeAngle(l->angleCode) -
+                               dequantizeAngle(angle_code));
         if (never_recalc || diff <= threshold_rad) {
             last_hit_cross_epoch_ = l->epoch != epoch_;
             l->epoch = epoch_;
@@ -133,7 +131,7 @@ TagCache::accessAngled(Addr addr, float angle_rad, float threshold_rad)
         }
         // Same texel address, camera angle moved past the threshold:
         // recalculate in memory and refresh the stored angle (SV-C).
-        l->angleCode = code;
+        l->angleCode = angle_code;
         l->epoch = epoch_;
         ++angle_misses_;
         return CacheOutcome::AngleMiss;
@@ -144,7 +142,7 @@ TagCache::accessAngled(Addr addr, float angle_rad, float threshold_rad)
     v.valid = true;
     v.lastUse = use_clock_;
     v.epoch = epoch_;
-    v.angleCode = code;
+    v.angleCode = angle_code;
     ++misses_;
     return CacheOutcome::Miss;
 }

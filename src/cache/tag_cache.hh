@@ -51,16 +51,16 @@ class TagCache
     CacheOutcome access(Addr addr);
 
     /**
-     * Angle-checked lookup (A-TFIM). On a tag hit, compares the stored
-     * quantized angle with `angle_rad`; a difference strictly greater
-     * than `threshold_rad` is an AngleMiss. On any kind of miss the
-     * line is (re)allocated with the new angle.
+     * Angle-checked lookup (A-TFIM). `angle_code` is the request's
+     * camera angle as quantizeAngle() stores it. On a tag hit, compares
+     * the stored angle with it; a difference strictly greater than
+     * `threshold_rad` is an AngleMiss. On any kind of miss the line is
+     * (re)allocated with the new angle.
      *
      * A negative threshold means "never recalculate" (the paper's
      * A-TFIM-no configuration).
      */
-    CacheOutcome accessAngled(Addr addr, float angle_rad,
-                              float threshold_rad);
+    CacheOutcome accessAngled(Addr addr, u8 angle_code, float threshold_rad);
 
     /** Probe without allocating or touching LRU state. */
     bool contains(Addr addr) const;

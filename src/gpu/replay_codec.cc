@@ -340,6 +340,10 @@ decodeTileRecord(const u8 *data, size_t size, TileRecord &out,
                 return fail(err, "truncated decomposition");
             if (r.numLevels > 2)
                 return fail(err, "bad level count");
+            // Four bilinear corners per level (at most kQuadMaxParents):
+            // replay recombines parents in fixed-size arrays.
+            if (parent_count > 4 * u64(r.numLevels))
+                return fail(err, "more than four parents per level");
             if (s.parents.size() + parent_count > n_parents)
                 return fail(err, "parent list overruns header count");
             r.parentOff = u32(s.parents.size());

@@ -57,10 +57,10 @@ class TexturePath
   public:
     explicit TexturePath(std::string name) : stats_(std::move(name))
     {
-        stats_.histogram("latency", 0.0, kLatencyHistHi,
-                         kLatencyHistBuckets,
-                         "per-request filtering latency (request to final "
-                         "texture output), cycles");
+        latency_hist_ = &stats_.histogram(
+            "latency", 0.0, kLatencyHistHi, kLatencyHistBuckets,
+            "per-request filtering latency (request to final texture "
+            "output), cycles");
     }
     virtual ~TexturePath() = default;
 
@@ -166,13 +166,13 @@ class TexturePath
     {
         ++requests_;
         latency_sum_ += complete - issue;
-        stats_.histogram("latency", 0.0, kLatencyHistHi, kLatencyHistBuckets)
-            .sample(double(complete - issue));
+        latency_hist_->sample(double(complete - issue));
     }
 
     StatGroup stats_;
 
   private:
+    StatHistogram *latency_hist_; //!< bound at registration
     u64 requests_ = 0;
     u64 latency_sum_ = 0;
     ReplayStream proc_stream_;    //!< process()'s one-shot stream

@@ -28,7 +28,6 @@
 #define TEXPIM_PIM_ATFIM_PATH_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/tag_cache.hh"
@@ -37,6 +36,7 @@
 #include "mem/gap_resource.hh"
 #include "mem/hmc.hh"
 #include "pim/packages.hh"
+#include "pim/parent_store.hh"
 #include "pim/robustness.hh"
 
 namespace texpim {
@@ -130,22 +130,35 @@ class AtfimTexturePath : public TexturePath
      */
     GapResource logic_pipe_;
 
-    /**
-     * Functional store of computed parent-texel values keyed by texel
-     * address. A cache hit reuses the stored (possibly stale — that is
-     * the approximation) value; any recalculation refreshes it. The
-     * footprint descriptors are kept for quality diagnostics.
-     */
-    struct StoredParent
-    {
-        ColorF value{};
-        u32 childKey = 0; //!< hash of the child set that produced it
-        u8 aniso = 1;
-        float angle = 0.0f;
-    };
-    std::unordered_map<Addr, StoredParent> parent_values_;
+    /** Functional store of computed parent-texel values (reuse-hits
+     *  read it; recalculations refresh it). */
+    ParentValueStore parent_values_;
 
     std::vector<Addr> child_blocks_; //!< replay-side consolidation buffer
+
+    // Stat handles, bound once at registration: StatGroup storage is
+    // node-based, so they stay valid for the path's lifetime.
+    StatCounter *l1_hits_;
+    StatCounter *l1_misses_;
+    StatCounter *l1_angle_recalcs_;
+    StatCounter *l2_hits_;
+    StatCounter *l2_misses_;
+    StatCounter *l2_angle_recalcs_;
+    StatCounter *l1_interframe_hits_;
+    StatCounter *l2_interframe_hits_;
+    StatCounter *offload_packages_;
+    StatCounter *parents_offloaded_;
+    StatCounter *children_generated_;
+    StatCounter *child_blocks_fetched_;
+    StatCounter *texel_gen_ops_;
+    StatCounter *combine_ops_;
+    StatCounter *parents_;
+    StatCounter *host_filter_ops_;
+    StatCounter *addr_ops_;
+    StatCounter *reuse_mismatches_;
+    StatCounter *reuse_mismatch_same_children_;
+    StatAverage *reuse_error_;
+    StatCounter *fallback_child_blocks_;
 };
 
 } // namespace texpim

@@ -67,8 +67,8 @@ TEST_P(CacheGeometry, RandomAccessesNeverCrash)
     TagCache c("c", p);
     Rng rng(u64(p.sizeBytes) + p.ways);
     for (int i = 0; i < 20000; ++i)
-        c.accessAngled(rng.below(1u << 22) * 4, float(rng.uniform(0, 1.5)),
-                       0.03f);
+        c.accessAngled(rng.below(1u << 22) * 4,
+                       quantizeAngle(float(rng.uniform(0, 1.5))), 0.03f);
     EXPECT_EQ(c.accesses(), 20000u);
 }
 
@@ -100,7 +100,7 @@ TEST_P(ThresholdMonotonicity, LooserThresholdNeverRecalculatesMore)
         p.ways = 16;
         TagCache c("c", p);
         for (auto [a, ang] : stream)
-            c.accessAngled(a, ang, thr);
+            c.accessAngled(a, quantizeAngle(ang), thr);
         EXPECT_LE(c.angleMisses(), prev) << "threshold " << thr;
         prev = c.angleMisses();
     }

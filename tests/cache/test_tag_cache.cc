@@ -69,11 +69,14 @@ TEST(TagCache, AngleWithinThresholdHits)
 {
     TagCache c("l1", smallCache());
     float thresh = 0.01f * kPi; // paper default: 1.8 degrees
-    EXPECT_EQ(c.accessAngled(0x0, 0.5f, thresh), CacheOutcome::Miss);
+    EXPECT_EQ(c.accessAngled(0x0, quantizeAngle(0.5f), thresh),
+              CacheOutcome::Miss);
     // Same angle: hit.
-    EXPECT_EQ(c.accessAngled(0x0, 0.5f, thresh), CacheOutcome::Hit);
+    EXPECT_EQ(c.accessAngled(0x0, quantizeAngle(0.5f), thresh),
+              CacheOutcome::Hit);
     // 1 degree away: within 1.8-degree threshold.
-    EXPECT_EQ(c.accessAngled(0x0, 0.5f + 1.0f * kPi / 180.0f, thresh),
+    EXPECT_EQ(c.accessAngled(0x0, quantizeAngle(0.5f + 1.0f * kPi / 180.0f),
+                             thresh),
               CacheOutcome::Hit);
 }
 
@@ -81,13 +84,15 @@ TEST(TagCache, AnglePastThresholdRecalculates)
 {
     TagCache c("l1", smallCache());
     float thresh = 0.01f * kPi;
-    c.accessAngled(0x0, 0.2f, thresh);
+    c.accessAngled(0x0, quantizeAngle(0.2f), thresh);
     // 10 degrees away: past the 1.8-degree threshold.
     float far = 0.2f + 10.0f * kPi / 180.0f;
-    EXPECT_EQ(c.accessAngled(0x0, far, thresh), CacheOutcome::AngleMiss);
+    EXPECT_EQ(c.accessAngled(0x0, quantizeAngle(far), thresh),
+              CacheOutcome::AngleMiss);
     EXPECT_EQ(c.angleMisses(), 1u);
     // The stored angle was refreshed, so repeating the access hits.
-    EXPECT_EQ(c.accessAngled(0x0, far, thresh), CacheOutcome::Hit);
+    EXPECT_EQ(c.accessAngled(0x0, quantizeAngle(far), thresh),
+              CacheOutcome::Hit);
 }
 
 TEST(TagCache, AngleExactlyAtThresholdStillHits)
@@ -103,15 +108,16 @@ TEST(TagCache, AngleExactlyAtThresholdStillHits)
     float far = dequantizeAngle(far_code);
     float thresh = far - base;
 
-    c.accessAngled(0x0, base, thresh);
-    EXPECT_EQ(c.accessAngled(0x0, far, thresh), CacheOutcome::Hit);
+    c.accessAngled(0x0, base_code, thresh);
+    EXPECT_EQ(c.accessAngled(0x0, far_code, thresh), CacheOutcome::Hit);
     EXPECT_EQ(c.angleMisses(), 0u);
 
     // One representable float below the threshold: recalculation.
     TagCache c2("l1", smallCache());
     float tighter = std::nextafterf(thresh, 0.0f);
-    c2.accessAngled(0x0, base, tighter);
-    EXPECT_EQ(c2.accessAngled(0x0, far, tighter), CacheOutcome::AngleMiss);
+    c2.accessAngled(0x0, base_code, tighter);
+    EXPECT_EQ(c2.accessAngled(0x0, far_code, tighter),
+              CacheOutcome::AngleMiss);
 }
 
 TEST(TagCache, SubQuantumAngleChangeIsInvisible)
@@ -121,9 +127,9 @@ TEST(TagCache, SubQuantumAngleChangeIsInvisible)
     // threshold zero.
     TagCache c("l1", smallCache());
     float quarter_deg = 0.25f * kPi / 180.0f;
-    c.accessAngled(0x0, 0.5f, 0.0f);
+    c.accessAngled(0x0, quantizeAngle(0.5f), 0.0f);
     EXPECT_EQ(quantizeAngle(0.5f), quantizeAngle(0.5f + quarter_deg));
-    EXPECT_EQ(c.accessAngled(0x0, 0.5f + quarter_deg, 0.0f),
+    EXPECT_EQ(c.accessAngled(0x0, quantizeAngle(0.5f + quarter_deg), 0.0f),
               CacheOutcome::Hit);
 }
 
@@ -134,8 +140,9 @@ TEST(TagCache, AngleMissKeepsTheLineResident)
     // records neither a hit nor a capacity miss.
     TagCache c("l1", smallCache());
     float thresh = 0.01f * kPi;
-    c.accessAngled(0x0, 0.2f, thresh);
-    EXPECT_EQ(c.accessAngled(0x0, 1.2f, thresh), CacheOutcome::AngleMiss);
+    c.accessAngled(0x0, quantizeAngle(0.2f), thresh);
+    EXPECT_EQ(c.accessAngled(0x0, quantizeAngle(1.2f), thresh),
+              CacheOutcome::AngleMiss);
     EXPECT_TRUE(c.contains(0x0));
     EXPECT_EQ(c.hits(), 0u);
     EXPECT_EQ(c.misses(), 1u);
@@ -150,9 +157,11 @@ TEST(TagCache, AngleMissRefreshesToTheNewAngleNotAnAverage)
     TagCache c("l1", smallCache());
     float thresh = 0.01f * kPi;
     float a0 = 0.2f, a1 = 1.2f;
-    c.accessAngled(0x0, a0, thresh);
-    EXPECT_EQ(c.accessAngled(0x0, a1, thresh), CacheOutcome::AngleMiss);
-    EXPECT_EQ(c.accessAngled(0x0, a0, thresh), CacheOutcome::AngleMiss);
+    c.accessAngled(0x0, quantizeAngle(a0), thresh);
+    EXPECT_EQ(c.accessAngled(0x0, quantizeAngle(a1), thresh),
+              CacheOutcome::AngleMiss);
+    EXPECT_EQ(c.accessAngled(0x0, quantizeAngle(a0), thresh),
+              CacheOutcome::AngleMiss);
     EXPECT_EQ(c.angleMisses(), 2u);
 }
 
@@ -163,19 +172,21 @@ TEST(TagCache, EvictionDropsTheStoredAngle)
     CacheParams p = smallCache();
     TagCache c("l1", p);
     float thresh = 0.01f * kPi;
-    c.accessAngled(0x0, 0.2f, thresh);
+    c.accessAngled(0x0, quantizeAngle(0.2f), thresh);
     for (Addr i = 1; i <= 4; ++i) // same set, stride 256: evicts 0x0
-        c.accessAngled(i * 256, 0.2f, thresh);
+        c.accessAngled(i * 256, quantizeAngle(0.2f), thresh);
     EXPECT_FALSE(c.contains(0x0));
-    EXPECT_EQ(c.accessAngled(0x0, 0.2f, thresh), CacheOutcome::Miss);
+    EXPECT_EQ(c.accessAngled(0x0, quantizeAngle(0.2f), thresh),
+              CacheOutcome::Miss);
 }
 
 TEST(TagCache, NegativeThresholdNeverRecalculates)
 {
     // The paper's A-TFIM-no configuration: reuse regardless of angle.
     TagCache c("l1", smallCache());
-    c.accessAngled(0x0, 0.0f, -1.0f);
-    EXPECT_EQ(c.accessAngled(0x0, 1.5f, -1.0f), CacheOutcome::Hit);
+    c.accessAngled(0x0, quantizeAngle(0.0f), -1.0f);
+    EXPECT_EQ(c.accessAngled(0x0, quantizeAngle(1.5f), -1.0f),
+              CacheOutcome::Hit);
     EXPECT_EQ(c.angleMisses(), 0u);
 }
 
@@ -188,7 +199,7 @@ TEST(TagCache, LargerThresholdNeverRecalculatesMore)
     for (float thresh : {0.005f * kPi, 0.01f * kPi, 0.05f * kPi, 0.1f * kPi}) {
         TagCache c("l1", smallCache());
         for (float a : angles)
-            c.accessAngled(0x0, a, thresh);
+            c.accessAngled(0x0, quantizeAngle(a), thresh);
         EXPECT_LE(c.angleMisses(), prev_recalcs);
         prev_recalcs = c.angleMisses();
     }

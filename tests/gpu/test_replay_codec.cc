@@ -412,6 +412,52 @@ TEST(CodecRejection, HostileHeaderCountsAreBounded)
     EXPECT_EQ(err, "count exceeds buffer");
 }
 
+/**
+ * A one-sample decomposed tile whose header totals agree with its
+ * body, so only the per-sample parent bound can reject it.
+ */
+std::vector<u8>
+encodeDecomposedSample(u8 levels, u32 parents)
+{
+    TileRecord tile;
+    FragRecord fr;
+    fr.flags = FragRecord::kShaded;
+    tile.frags.push_back(fr);
+    TexSampleRec r;
+    r.hostFilterOps = 4;
+    r.numLevels = levels;
+    r.parentCount = parents;
+    tile.stream.samples.push_back(r);
+    for (u32 p = 0; p < parents; ++p) {
+        ParentRec pr;
+        pr.addr = 0x1000 + 4 * p;
+        tile.stream.parents.push_back(pr);
+    }
+    std::vector<u8> buf;
+    encodeTileRecord(tile, buf);
+    return buf;
+}
+
+TEST(CodecRejection, MoreThanFourParentsPerLevelIsRejected)
+{
+    // Replay recombines a sample's parents in kQuadMaxParents-sized
+    // arrays, so a header-consistent record with an extra parent must
+    // fail to decode rather than overrun them.
+    TileRecord scratch;
+    std::string err;
+    for (u8 levels : {u8(0), u8(1), u8(2)}) {
+        SCOPED_TRACE("levels " + std::to_string(levels));
+        std::vector<u8> full = encodeDecomposedSample(levels, 4u * levels);
+        EXPECT_TRUE(decodeTileRecord(full.data(), full.size(), scratch, &err))
+            << err;
+        std::vector<u8> over =
+            encodeDecomposedSample(levels, 4u * levels + 1);
+        EXPECT_FALSE(
+            decodeTileRecord(over.data(), over.size(), scratch, &err));
+        EXPECT_EQ(err, "more than four parents per level");
+    }
+}
+
 // ------------------------------------------- sim-level stream equality
 
 ExperimentSpec

@@ -170,5 +170,24 @@ TEST(AtfimDeath, NearestModeRejected)
     EXPECT_DEATH({ f.atfim->process(r); }, "linear filter mode");
 }
 
+TEST(AtfimDeath, ReplayRejectsMoreParentsThanItRecombines)
+{
+    // Replay recombines into kQuadMaxParents-sized arrays; a record
+    // claiming more parents must stop there, not overrun them.
+    Fixture f;
+    ReplayStream stream;
+    TexSampleRec rec;
+    rec.numLevels = 2;
+    rec.parentCount = kQuadMaxParents + 1;
+    stream.samples.push_back(rec);
+    for (unsigned p = 0; p < rec.parentCount; ++p) {
+        ParentRec pr;
+        pr.addr = 0x1000'0000 + 4 * p;
+        stream.parents.push_back(pr);
+    }
+    TexRequest r = f.request(0.5f, 0.5f, 1.0f);
+    EXPECT_DEATH({ f.atfim->replay(r, stream, 0); }, "overruns");
+}
+
 } // namespace
 } // namespace texpim
