@@ -1,71 +1,104 @@
 #include "gpu/params.hh"
 
 #include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
 
 namespace texpim {
 
+namespace {
+
+/**
+ * The one range-checked reader for GpuParams' unsigned keys. A value
+ * below `min` or beyond T's range fails through TEXPIM_FATAL naming
+ * the key and its raw value, as Config::getInt does for non-integers,
+ * instead of wrapping (-1 -> 4294967295) or reaching a division by
+ * zero deep in the model. The method keeps Config's getter name so
+ * the key literals stay visible to texpim-lint rule C1.
+ */
+struct UnsignedKeys
+{
+    const Config &cfg;
+
+    template <typename T>
+    T
+    getInt(const std::string &key, T dflt, T min = 0) const
+    {
+        if (!cfg.has(key))
+            return dflt;
+        i64 v = cfg.getInt(key);
+        if (v < i64(min) || u64(v) > std::numeric_limits<T>::max())
+            TEXPIM_FATAL("config key '", key, "' = '", cfg.getString(key),
+                         "' must be an integer in [", u64(min), ", ",
+                         u64(std::numeric_limits<T>::max()), "]");
+        return T(v);
+    }
+};
+
+/** Default render worker count: TEXPIM_RENDER_THREADS when set, under
+ *  the same full-string integer rule and lower bound as the key. */
+unsigned
+renderThreadsDefault(unsigned dflt)
+{
+    const char *env = std::getenv("TEXPIM_RENDER_THREADS");
+    if (!env)
+        return dflt;
+    char *end = nullptr;
+    long long v = std::strtoll(env, &end, 0);
+    if (end == env || *end != '\0' || v < 1 ||
+        u64(v) > std::numeric_limits<unsigned>::max())
+        TEXPIM_FATAL("environment variable TEXPIM_RENDER_THREADS = '", env,
+                     "' must be an integer >= 1");
+    return unsigned(v);
+}
+
+} // namespace
+
 GpuParams
 GpuParams::fromConfig(const Config &cfg)
 {
     GpuParams p;
-    p.clusters = unsigned(cfg.getInt("gpu.clusters", p.clusters));
+    UnsignedKeys in{cfg};
+    p.clusters = in.getInt("gpu.clusters", p.clusters, 1u);
     p.shadersPerCluster =
-        unsigned(cfg.getInt("gpu.shaders_per_cluster", p.shadersPerCluster));
-    p.tileSize = unsigned(cfg.getInt("gpu.tile_size", p.tileSize));
+        in.getInt("gpu.shaders_per_cluster", p.shadersPerCluster, 1u);
+    p.tileSize = in.getInt("gpu.tile_size", p.tileSize, 1u);
     p.frequencyGHz = cfg.getDouble("gpu.frequency_ghz", p.frequencyGHz);
     p.texAddressAlus =
-        unsigned(cfg.getInt("gpu.tex_address_alus", p.texAddressAlus));
-    p.texFilterAlus =
-        unsigned(cfg.getInt("gpu.tex_filter_alus", p.texFilterAlus));
-    p.texUnitTexelsPerCycle = unsigned(
-        cfg.getInt("gpu.tex_unit_texels_per_cycle", p.texUnitTexelsPerCycle));
-    p.texL1.sizeBytes = u64(cfg.getInt("gpu.tex_l1_bytes",
-                                       i64(p.texL1.sizeBytes)));
-    p.texL1.ways = unsigned(cfg.getInt("gpu.tex_l1_ways", p.texL1.ways));
-    p.texL2.sizeBytes = u64(cfg.getInt("gpu.tex_l2_bytes",
-                                       i64(p.texL2.sizeBytes)));
-    p.texL2.ways = unsigned(cfg.getInt("gpu.tex_l2_ways", p.texL2.ways));
+        in.getInt("gpu.tex_address_alus", p.texAddressAlus, 1u);
+    p.texFilterAlus = in.getInt("gpu.tex_filter_alus", p.texFilterAlus, 1u);
+    p.texUnitTexelsPerCycle = in.getInt("gpu.tex_unit_texels_per_cycle",
+                                        p.texUnitTexelsPerCycle, 1u);
+    p.texL1.sizeBytes =
+        in.getInt("gpu.tex_l1_bytes", p.texL1.sizeBytes, u64{1});
+    p.texL1.ways = in.getInt("gpu.tex_l1_ways", p.texL1.ways, 1u);
+    p.texL2.sizeBytes =
+        in.getInt("gpu.tex_l2_bytes", p.texL2.sizeBytes, u64{1});
+    p.texL2.ways = in.getInt("gpu.tex_l2_ways", p.texL2.ways, 1u);
     p.texL1HitLatency =
-        Cycle(cfg.getInt("gpu.tex_l1_latency", i64(p.texL1HitLatency)));
+        in.getInt("gpu.tex_l1_latency", p.texL1HitLatency);
     p.texL2HitLatency =
-        Cycle(cfg.getInt("gpu.tex_l2_latency", i64(p.texL2HitLatency)));
-    p.maxInflightTexRequests = unsigned(
-        cfg.getInt("gpu.max_inflight_tex", p.maxInflightTexRequests));
+        in.getInt("gpu.tex_l2_latency", p.texL2HitLatency);
+    p.maxInflightTexRequests =
+        in.getInt("gpu.max_inflight_tex", p.maxInflightTexRequests, 1u);
     p.vertexShaderCycles =
-        unsigned(cfg.getInt("gpu.vertex_cycles", p.vertexShaderCycles));
+        in.getInt("gpu.vertex_cycles", p.vertexShaderCycles);
     p.fragmentShaderCycles =
-        unsigned(cfg.getInt("gpu.fragment_cycles", p.fragmentShaderCycles));
-    p.fragmentPipelineCycles = unsigned(cfg.getInt(
-        "gpu.fragment_pipeline_cycles", p.fragmentPipelineCycles));
+        in.getInt("gpu.fragment_cycles", p.fragmentShaderCycles);
+    p.fragmentPipelineCycles = in.getInt("gpu.fragment_pipeline_cycles",
+                                         p.fragmentPipelineCycles);
     p.triangleSetupCycles =
-        unsigned(cfg.getInt("gpu.setup_cycles", p.triangleSetupCycles));
-    p.deterministicSchedule =
-        cfg.getBool("gpu.deterministic_schedule", p.deterministicSchedule);
-    i64 threads_default = i64(p.renderThreads);
-    if (const char *env = std::getenv("TEXPIM_RENDER_THREADS"))
-        threads_default = std::atol(env);
-    p.renderThreads =
-        unsigned(cfg.getInt("gpu.render_threads", threads_default));
-    std::string sampler = cfg.getString("gpu.sampler", "quad");
-    TEXPIM_ASSERT(sampler == "quad" || sampler == "scalar",
-                  "gpu.sampler must be \"quad\" or \"scalar\", got \"",
-                  sampler, "\"");
-    p.sampler = sampler == "scalar" ? SamplerKind::Scalar : SamplerKind::Quad;
+        in.getInt("gpu.setup_cycles", p.triangleSetupCycles);
+    p.renderThreads = in.getInt("gpu.render_threads",
+                                renderThreadsDefault(p.renderThreads), 1u);
     std::string schedule = cfg.getString("gpu.schedule", "horizon");
-    TEXPIM_ASSERT(schedule == "horizon" || schedule == "rr" ||
-                      schedule == "prefetch",
-                  "gpu.schedule must be \"horizon\", \"rr\" or "
-                  "\"prefetch\", got \"",
-                  schedule, "\"");
-    p.schedule = schedule == "rr"         ? Schedule::RoundRobin
-                 : schedule == "prefetch" ? Schedule::Prefetch
-                                          : Schedule::Horizon;
-    p.pipelineDepth =
-        unsigned(cfg.getInt("gpu.pipeline_depth", p.pipelineDepth));
-    TEXPIM_ASSERT(p.pipelineDepth >= 1,
-                  "gpu.pipeline_depth must be at least 1");
+    if (schedule != "horizon" && schedule != "rr")
+        TEXPIM_FATAL("config key 'gpu.schedule' = '", schedule,
+                     "' must be \"horizon\" or \"rr\"");
+    p.schedule =
+        schedule == "rr" ? Schedule::RoundRobin : Schedule::Horizon;
+    p.pipelineDepth = in.getInt("gpu.pipeline_depth", p.pipelineDepth, 1u);
     return p;
 }
 
@@ -113,11 +146,10 @@ knownConfigKeys()
         "gddr5.channels", "gddr5.command_latency",
 
         // Host GPU.
-        "gpu.clusters", "gpu.deterministic_schedule",
-        "gpu.fragment_cycles", "gpu.fragment_pipeline_cycles",
-        "gpu.frequency_ghz", "gpu.max_inflight_tex",
-        "gpu.pipeline_depth", "gpu.render_threads", "gpu.sampler",
-        "gpu.schedule", "gpu.setup_cycles",
+        "gpu.clusters", "gpu.fragment_cycles",
+        "gpu.fragment_pipeline_cycles", "gpu.frequency_ghz",
+        "gpu.max_inflight_tex", "gpu.pipeline_depth",
+        "gpu.render_threads", "gpu.schedule", "gpu.setup_cycles",
         "gpu.shaders_per_cluster", "gpu.tex_address_alus",
         "gpu.tex_filter_alus", "gpu.tex_l1_bytes", "gpu.tex_l1_latency",
         "gpu.tex_l1_ways", "gpu.tex_l2_bytes", "gpu.tex_l2_latency",

@@ -161,7 +161,15 @@ RenderingSimulator::renderScene(const Scene &scene)
                   "this simulator was built under");
     // Cold state per frame, as the paper renders selected frames.
     build();
-    return renderOnce(scene);
+    Scene frame_scene = prepareFrameScene(scene);
+    installAttribution(frame_scene);
+
+    SimResult r;
+    r.image = std::make_shared<FrameBuffer>(frame_scene.settings.width,
+                                            frame_scene.settings.height);
+    r.frame = renderer_->renderFrame(frame_scene, *r.image);
+    finalizeResult(r);
+    return r;
 }
 
 std::vector<SimResult>
@@ -260,7 +268,7 @@ RenderingSimulator::finishSequenceFrame(Renderer::FrameJob &job,
     TEXPIM_ASSERT(&SimContext::current() == &ctx_,
                   "rendering under a different SimContext than the one "
                   "this simulator was built under");
-    // Same observable order as renderOnce: attribution is installed
+    // Same observable order as renderScene: attribution is installed
     // before any traffic flows (the recording phase produced none).
     installAttribution(job.scene());
     SimResult r;
@@ -285,20 +293,6 @@ RenderingSimulator::noteFrameReuse(SimResult &r, u64 unique_blocks,
     if (attrib_)
         attrib_->setSequenceReuse(unique_blocks, reused_prev,
                                   r.interFrameTagHits);
-}
-
-SimResult
-RenderingSimulator::renderOnce(const Scene &scene)
-{
-    Scene frame_scene = prepareFrameScene(scene);
-    installAttribution(frame_scene);
-
-    SimResult r;
-    r.image = std::make_shared<FrameBuffer>(frame_scene.settings.width,
-                                            frame_scene.settings.height);
-    r.frame = renderer_->renderFrame(frame_scene, *r.image);
-    finalizeResult(r);
-    return r;
 }
 
 void

@@ -313,9 +313,9 @@ void sampleConventionalQuad(const Texture &tex, const SampleCoords *coords,
  * A-TFIM-decomposed filtering of up to kQuadLanes lanes, bit-identical
  * per lane to sampleDecomposed. Child addresses are masked with
  * `child_mask` (DRAM-burst granularity) but kept duplicate-preserving
- * and in per-parent order, exactly as AtfimTexturePath::sample records
- * them; childKey hashes the *unmasked* child addresses as the scalar
- * path does.
+ * and in per-parent order, exactly as AtfimTexturePath::sampleQuad
+ * records them; childKey hashes the *unmasked* child addresses as the
+ * scalar path does.
  */
 void sampleDecomposedQuad(const Texture &tex, const SampleCoords *coords,
                           unsigned count, FilterMode mode,

@@ -19,116 +19,11 @@
 #include <tuple>
 #include <vector>
 
-#include "common/rng.hh"
+#include "support/sampler_cases.hh"
 #include "tex/sampler.hh"
 
 namespace texpim {
 namespace {
-
-// Bit-level float compare: EXPECT_FLOAT_EQ tolerates 4 ulps, which is
-// exactly the drift this suite exists to reject.
-::testing::AssertionResult
-bitsEqual(float a, float b)
-{
-    if (std::bit_cast<u32>(a) == std::bit_cast<u32>(b))
-        return ::testing::AssertionSuccess();
-    return ::testing::AssertionFailure()
-           << a << " (0x" << std::hex << std::bit_cast<u32>(a) << ") vs "
-           << b << " (0x" << std::bit_cast<u32>(b) << ")";
-}
-
-::testing::AssertionResult
-colorBitsEqual(const ColorF &a, const ColorF &b)
-{
-    const float ac[4] = {a.r, a.g, a.b, a.a};
-    const float bc[4] = {b.r, b.g, b.b, b.a};
-    for (int i = 0; i < 4; ++i)
-        if (std::bit_cast<u32>(ac[i]) != std::bit_cast<u32>(bc[i]))
-            return ::testing::AssertionFailure()
-                   << "channel " << i << ": " << bitsEqual(ac[i], bc[i]).message();
-    return ::testing::AssertionSuccess();
-}
-
-TextureImage
-noiseImage(unsigned w, unsigned h, u64 seed)
-{
-    Rng rng(seed);
-    TextureImage img(w, h);
-    for (unsigned y = 0; y < h; ++y)
-        for (unsigned x = 0; x < w; ++x)
-            img.setTexel(x, y,
-                         {u8(rng.below(256)), u8(rng.below(256)),
-                          u8(rng.below(256)), u8(rng.below(256))});
-    return img;
-}
-
-/**
- * Seeded coordinate generator spanning the sampler's regimes. Cycles
- * deterministically through magnification, mid-chain minification, mip
- * tails (footprints larger than the base level), exact texel-corner /
- * edge UVs, wrap seams and negative UVs, with camera angles present on
- * half the coordinates (the A-TFIM angle-derived anisotropy path).
- */
-SampleCoords
-makeCoords(Rng &rng, unsigned i, unsigned tex_size)
-{
-    SampleCoords c;
-    float inv = 1.0f / float(tex_size);
-    switch (i % 6) {
-    case 0: // magnified: sub-texel footprint
-        c.uv = {float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0))};
-        c.ddx = {0.25f * inv, 0.0f};
-        c.ddy = {0.0f, 0.25f * inv};
-        break;
-    case 1: // minified mid-chain, anisotropic in x
-        c.uv = {float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0))};
-        c.ddx = {float(rng.range(2, 12)) * inv, float(rng.uniform(0.0, 2.0)) * inv};
-        c.ddy = {0.0f, 2.0f * inv};
-        break;
-    case 2: // mip tail: footprint spans the whole texture and beyond
-        c.uv = {float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0))};
-        c.ddx = {float(rng.range(1, 4)), 0.0f};
-        c.ddy = {0.0f, float(rng.range(1, 4))};
-        break;
-    case 3: { // edge/corner texels: uv exactly on texel boundaries
-        unsigned k = unsigned(rng.below(tex_size + 1));
-        c.uv = {float(k) * inv, rng.chance(0.5) ? 0.0f : 1.0f};
-        c.ddx = {1.5f * inv, 0.0f};
-        c.ddy = {0.0f, 1.5f * inv};
-        break;
-    }
-    case 4: // wrap seam and negative UV (repeat addressing)
-        c.uv = {float(rng.uniform(-2.0, -0.001)), float(rng.uniform(1.0, 3.0))};
-        c.ddx = {float(rng.uniform(0.5, 6.0)) * inv, 0.0f};
-        c.ddy = {0.0f, float(rng.uniform(0.5, 6.0)) * inv};
-        break;
-    default: // oblique anisotropy: both derivative vectors non-axial
-        c.uv = {float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0))};
-        c.ddx = {float(rng.uniform(-8.0, 8.0)) * inv,
-                 float(rng.uniform(-8.0, 8.0)) * inv};
-        c.ddy = {float(rng.uniform(-2.0, 2.0)) * inv,
-                 float(rng.uniform(-2.0, 2.0)) * inv};
-        break;
-    }
-    if (rng.chance(0.5))
-        c.cameraAngle = float(rng.uniform(0.01, 1.5));
-    return c;
-}
-
-struct TexCase
-{
-    const char *tag;
-    unsigned w, h;
-    TexelFormat fmt;
-    u64 seed;
-};
-
-const TexCase kTexCases[] = {
-    {"rgba8_256", 256, 256, TexelFormat::Rgba8, 7},
-    {"bc1_256", 256, 256, TexelFormat::Bc1, 11},
-    {"rgba8_wide_128x32", 128, 32, TexelFormat::Rgba8, 13},
-    {"rgba8_tiny_16", 16, 16, TexelFormat::Rgba8, 17},
-};
 
 constexpr Addr kLineMask = ~Addr(63);  //!< texture-L1 line granularity
 constexpr Addr kBurstMask = ~Addr(31); //!< HMC DRAM-burst granularity
@@ -174,8 +69,8 @@ TEST_P(QuadConvDifferential, MatchesScalarBitForBit)
                 EXPECT_EQ(out.route[q], ref.fetches[0].addr);
 
                 // Canonical block list: masked, sorted, unique — the
-                // derivation HostTexturePath::sample applies to the
-                // scalar fetch trace.
+                // derivation oracleConventional (support/path_oracle.hh)
+                // applies to the scalar fetch trace.
                 std::vector<Addr> want;
                 want.reserve(ref.fetches.size());
                 for (const TexFetch &f : ref.fetches)
@@ -260,8 +155,8 @@ TEST_P(QuadDecompDifferential, MatchesScalarBitForBit)
                     EXPECT_TRUE(colorBitsEqual(out.parentValue[q][p],
                                                rp.value))
                         << "parent " << p;
-                    // childKey: the hash AtfimTexturePath::sample
-                    // derives from the *unmasked* child addresses.
+                    // childKey: the hash oracleDecomposed derives
+                    // from the *unmasked* child addresses.
                     u32 key = 0;
                     for (Addr a : rp.children)
                         key = key * 1000003u + u32(a ^ (a >> 17));

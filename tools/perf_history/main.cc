@@ -34,7 +34,8 @@
  *
  * The parser accepts exactly the JSON our JsonWriter emits (objects,
  * arrays, strings, numbers, true/false/null); wall_phase*_sec may be
- * null (fused loop) and is simply ignored here.
+ * null (render_threads=0 runs in older snapshots) and is simply
+ * ignored here.
  */
 
 #include <algorithm>
