@@ -39,16 +39,22 @@ Gddr5Memory::Gddr5Memory(const Gddr5Params &params)
         channels_.push_back(std::move(ch));
     }
 
-    stats_.counter("reads", "read transactions");
-    stats_.counter("writes", "write transactions");
-    stats_.counter("row_hits", "row-buffer hits");
-    stats_.counter("row_misses", "row-buffer misses (closed row)");
-    stats_.counter("row_conflicts", "row-buffer conflicts (wrong row open)");
-    stats_.average("bank_wait", "cycles waiting for a busy bank");
-    stats_.average("bus_wait", "cycles waiting for the channel bus");
-    stats_.average("latency", "end-to-end transaction latency, cycles");
-    stats_.histogram("latency_hist", 0.0, 2048.0, 64,
-                     "end-to-end transaction latency distribution");
+    reads_ = &stats_.counter("reads", "read transactions");
+    writes_ = &stats_.counter("writes", "write transactions");
+    row_hits_ = &stats_.counter("row_hits", "row-buffer hits");
+    row_misses_ =
+        &stats_.counter("row_misses", "row-buffer misses (closed row)");
+    row_conflicts_ = &stats_.counter(
+        "row_conflicts", "row-buffer conflicts (wrong row open)");
+    bank_wait_ =
+        &stats_.average("bank_wait", "cycles waiting for a busy bank");
+    bus_wait_ =
+        &stats_.average("bus_wait", "cycles waiting for the channel bus");
+    latency_ = &stats_.average("latency",
+                               "end-to-end transaction latency, cycles");
+    latency_hist_ =
+        &stats_.histogram("latency_hist", 0.0, 2048.0, 64,
+                          "end-to-end transaction latency distribution");
 }
 
 void
@@ -86,38 +92,43 @@ Gddr5Memory::access(const MemRequest &req)
 
     RowBufferOutcome outcome;
     Cycle bank_start = req.issue + params_.commandLatency;
-    stats_.average("bank_wait")
-        .sample(double(std::max(ch.banks[bank_idx].busyUntil(), bank_start) -
-                       bank_start));
+    bank_wait_->sample(
+        double(std::max(ch.banks[bank_idx].busyUntil(), bank_start) -
+               bank_start));
     Cycle data_ready = ch.banks[bank_idx].access(row, bank_start, outcome);
 
     // Serialize the data burst over the channel bus (fractional cycles
     // so that sub-cycle bursts do not artificially cap bandwidth).
     double bus_time = double(req.bytes) / channel_bw_;
     double bus_start = ch.bus.reserve(double(data_ready), bus_time);
-    stats_.average("bus_wait").sample(bus_start - double(data_ready));
+    bus_wait_->sample(bus_start - double(data_ready));
     Cycle done = Cycle(std::ceil(bus_start + bus_time));
 
     countOffChip(req.cls, req.bytes);
     notifyTraffic(TrafficChannel::OffChip, req.cls, req.addr, req.bytes,
                   int(fold % params_.channels), req.issue);
-    ++stats_.counter(req.op == MemOp::Read ? "reads" : "writes");
+    ++*(req.op == MemOp::Read ? reads_ : writes_);
     switch (outcome) {
       case RowBufferOutcome::Hit:
-        ++stats_.counter("row_hits");
+        ++*row_hits_;
         break;
       case RowBufferOutcome::Miss:
-        ++stats_.counter("row_misses");
+        ++*row_misses_;
         break;
       case RowBufferOutcome::Conflict:
-        ++stats_.counter("row_conflicts");
+        ++*row_conflicts_;
         break;
     }
-    stats_.average("latency").sample(double(done - req.issue));
-    stats_.histogram("latency_hist", 0.0, 2048.0, 64)
-        .sample(double(done - req.issue));
-    stats_.average(std::string("latency_") + trafficClassName(req.cls))
-        .sample(double(done - req.issue));
+    double latency = double(done - req.issue);
+    latency_->sample(latency);
+    latency_hist_->sample(latency);
+    // Per-class averages register on a class's first access, so only
+    // the classes a run used appear in the export.
+    StatAverage *&class_latency = class_latency_[size_t(req.cls)];
+    if (class_latency == nullptr)
+        class_latency = &stats_.average(std::string("latency_") +
+                                        trafficClassName(req.cls));
+    class_latency->sample(latency);
     TEXPIM_TRACE_COMPLETE("dram", "gddr5_access",
                           u32(200 + fold % params_.channels), req.issue,
                           done - req.issue);

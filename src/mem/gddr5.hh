@@ -7,6 +7,7 @@
 #ifndef TEXPIM_MEM_GDDR5_HH
 #define TEXPIM_MEM_GDDR5_HH
 
+#include <array>
 #include <vector>
 
 #include "common/config.hh"
@@ -59,6 +60,20 @@ class Gddr5Memory : public MemorySystem
     Gddr5Params params_;
     double channel_bw_; //!< bytes per core cycle per channel
     std::vector<Channel> channels_;
+
+    // Stat handles, bound once at registration: StatGroup storage is
+    // node-based, so they stay valid for the memory's lifetime.
+    StatCounter *reads_;
+    StatCounter *writes_;
+    StatCounter *row_hits_;
+    StatCounter *row_misses_;
+    StatCounter *row_conflicts_;
+    StatAverage *bank_wait_;
+    StatAverage *bus_wait_;
+    StatAverage *latency_;
+    StatHistogram *latency_hist_;
+    /** latency_<class>, bound on the class's first access. */
+    std::array<StatAverage *, kNumTrafficClasses> class_latency_{};
 };
 
 } // namespace texpim

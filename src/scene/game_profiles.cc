@@ -16,20 +16,26 @@ namespace {
  *  paper's workloads comes from. */
 constexpr float kRepsPerUnit = 0.25f;
 
+/** Assets under construction: the store is private to the builder
+ *  until buildSceneAssets publishes it const. */
+struct AssetDraft
+{
+    TextureStore textures;
+    std::vector<SceneObject> objects;
+};
+
 /** Add a generated texture and return its id. */
 u32
-addTex(Scene &s, Material m, unsigned size, u64 seed)
+addTex(AssetDraft &s, Material m, unsigned size, u64 seed)
 {
-    // texpim-lint: allow(T1) ownership transfer: the store belongs to a
-    // scene still under construction, not yet published to the pool
-    return s.textures->add(std::string(materialName(m)) + "_" +
-                               std::to_string(size) + "_" +
-                               std::to_string(seed & 0xffff),
-                           generateTexture(m, size, seed));
+    return s.textures.add(std::string(materialName(m)) + "_" +
+                              std::to_string(size) + "_" +
+                              std::to_string(seed & 0xffff),
+                          generateTexture(m, size, seed));
 }
 
 void
-addObject(Scene &s, Mesh mesh, u32 tex, i32 detail = -1,
+addObject(AssetDraft &s, Mesh mesh, u32 tex, i32 detail = -1,
           float detail_scale = 6.0f)
 {
     SceneObject o;
@@ -62,7 +68,7 @@ surfaceQuad(Vec3 origin, Vec3 edge_u, Vec3 edge_v, float density = kRepsPerUnit)
  * the A-TFIM camera-angle reuse).
  */
 void
-addCorridor(Scene &s, Vec3 e, float width, float height, float length,
+addCorridor(AssetDraft &s, Vec3 e, float width, float height, float length,
             u32 floor_tex, u32 ceil_tex, u32 wall_l_tex, u32 wall_r_tex,
             i32 floor_detail = -1, i32 wall_detail = -1,
             i32 floor_alt = -1, i32 wall_alt = -1,
@@ -119,12 +125,35 @@ corridorCamera(unsigned frame, float height, float speed)
     return cam;
 }
 
-Scene
-buildDoom3(unsigned frame, u64 seed)
+/** The camera of `game`'s path at `frame`. */
+Camera
+gameCamera(Game game, unsigned frame)
+{
+    switch (game) {
+      case Game::Doom3:
+        return corridorCamera(frame, 1.8f, 1.2f);
+      case Game::Fear:
+        return corridorCamera(frame, 1.7f, 0.8f);
+      case Game::HalfLife2: {
+        // Outdoor sightlines: a deeper far plane than the corridors.
+        Camera cam = corridorCamera(frame, 1.7f, 1.0f);
+        cam.zFar = 800.0f;
+        return cam;
+      }
+      case Game::Riddick:
+        return corridorCamera(frame, 1.6f, 0.9f);
+      case Game::Wolfenstein:
+        return corridorCamera(frame, 1.75f, 1.0f);
+      default:
+        TEXPIM_PANIC("bad game ", int(game));
+    }
+}
+
+void
+buildDoom3(AssetDraft &s, u64 seed)
 {
     // Industrial corridor complex: long metal/concrete corridor with
     // columns and crates; Id Tech 4's tight indoor spaces.
-    Scene s;
     Rng rng(seed);
     u32 floor = addTex(s, Material::Concrete, 1024, rng.next());
     u32 ceil = addTex(s, Material::Metal, 1024, rng.next());
@@ -150,16 +179,13 @@ buildDoom3(unsigned frame, u64 seed)
         float x = float(rng.uniform(-1.8, 1.8));
         addObject(s, makeBox({x, 0.5f, z}, {0.5f, 0.5f, 0.5f}, 1.0f), crate);
     }
-    s.camera = corridorCamera(frame, 1.8f, 1.2f);
-    return s;
 }
 
-Scene
-buildFear(unsigned frame, u64 seed)
+void
+buildFear(AssetDraft &s, u64 seed)
 {
     // Office interior: a long open-plan floor, desks and crates;
     // Jupiter EX's mid-size rooms.
-    Scene s;
     Rng rng(seed + 1);
     u32 carpet = addTex(s, Material::Checker, 1024, rng.next());
     u32 wall_a = addTex(s, Material::Concrete, 1024, rng.next());
@@ -185,16 +211,13 @@ buildFear(unsigned frame, u64 seed)
         addObject(s, makeBox({0.0f, 0.6f, z}, {0.4f, 0.6f, 0.4f}, 1.0f),
                   metal);
     }
-    s.camera = corridorCamera(frame, 1.7f, 0.8f);
-    return s;
 }
 
-Scene
-buildHalfLife2(unsigned frame, u64 seed)
+void
+buildHalfLife2(AssetDraft &s, u64 seed)
 {
     // Source-engine outdoor mix: terrain, a plaza and buildings seen
     // across long grazing sightlines.
-    Scene s;
     Rng rng(seed + 2);
     u32 grass = addTex(s, Material::Grass, 1024, rng.next());
     u32 plaza = addTex(s, Material::Marble, 1024, rng.next());
@@ -223,17 +246,12 @@ buildHalfLife2(unsigned frame, u64 seed)
                   (i & 1) ? det_brick : det_brick_b);
     }
     addObject(s, makeBox({0, 1.2f, -55}, {8, 1.2f, 1.0f}, 3.0f), concrete);
-    Camera cam = corridorCamera(frame, 1.7f, 1.0f);
-    cam.zFar = 800.0f;
-    s.camera = cam;
-    return s;
 }
 
-Scene
-buildRiddick(unsigned frame, u64 seed)
+void
+buildRiddick(AssetDraft &s, u64 seed)
 {
     // Butcher Bay: narrow dark metal corridors.
-    Scene s;
     Rng rng(seed + 3);
     u32 floor = addTex(s, Material::Stone, 512, rng.next());
     u32 ceil = addTex(s, Material::Metal, 512, rng.next());
@@ -251,15 +269,12 @@ buildRiddick(unsigned frame, u64 seed)
                              {0.35f, 0.35f, 0.35f}, 1.0f),
                   crate);
     }
-    s.camera = corridorCamera(frame, 1.6f, 0.9f);
-    return s;
 }
 
-Scene
-buildWolfenstein(unsigned frame, u64 seed)
+void
+buildWolfenstein(AssetDraft &s, u64 seed)
 {
     // Castle interiors: brick and stone halls with wooden beams.
-    Scene s;
     Rng rng(seed + 4);
     u32 floor = addTex(s, Material::Stone, 512, rng.next());
     u32 ceil = addTex(s, Material::Wood, 512, rng.next());
@@ -276,8 +291,6 @@ buildWolfenstein(unsigned frame, u64 seed)
         addObject(s, makeColumn({-1.9f, 0, z}, 0.3f, 5.0f, 4), beam);
         addObject(s, makeColumn({1.9f, 0, z}, 0.3f, 5.0f, 4), beam);
     }
-    s.camera = corridorCamera(frame, 1.75f, 1.0f);
-    return s;
 }
 
 } // namespace
@@ -361,35 +374,105 @@ defaultMaxAniso(unsigned width)
     return 4;
 }
 
-Scene
-buildGameScene(const Workload &wl, unsigned frame, u64 seed)
+SceneAssets
+buildSceneAssets(Game game, u64 seed)
 {
-    Scene s;
-    switch (wl.game) {
+    AssetDraft d;
+    switch (game) {
       case Game::Doom3:
-        s = buildDoom3(frame, seed);
+        buildDoom3(d, seed);
         break;
       case Game::Fear:
-        s = buildFear(frame, seed);
+        buildFear(d, seed);
         break;
       case Game::HalfLife2:
-        s = buildHalfLife2(frame, seed);
+        buildHalfLife2(d, seed);
         break;
       case Game::Riddick:
-        s = buildRiddick(frame, seed);
+        buildRiddick(d, seed);
         break;
       case Game::Wolfenstein:
-        s = buildWolfenstein(frame, seed);
+        buildWolfenstein(d, seed);
         break;
       default:
-        TEXPIM_PANIC("bad game ", int(wl.game));
+        TEXPIM_PANIC("bad game ", int(game));
     }
+    SceneAssets a;
+    a.game = game;
+    a.seed = seed;
+    a.textures = std::make_shared<const TextureStore>(std::move(d.textures));
+    a.objects = std::move(d.objects);
+    return a;
+}
+
+SceneAssetMemo::SceneAssetMemo(Builder build) : build_(std::move(build)) {}
+
+SceneAssetMemo::Ptr
+SceneAssetMemo::get(Game game, u64 seed)
+{
+    // The first requester of a key inserts its future under the lock
+    // and builds outside it; later requesters wait on that future.
+    const Key key{game, seed};
+    std::promise<Ptr> promise;
+    std::shared_future<Ptr> pending;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        auto [it, inserted] = entries_.try_emplace(key);
+        if (inserted)
+            it->second = promise.get_future().share();
+        else
+            pending = it->second;
+    }
+    if (pending.valid())
+        return pending.get();
+    try {
+        Ptr built = std::make_shared<const SceneAssets>(build_(game, seed));
+        promise.set_value(built);
+        return built;
+    } catch (...) {
+        // Not cached: erased before the waiters wake, so the next
+        // request (a runner retry) builds again.
+        {
+            std::lock_guard<std::mutex> lk(mu_);
+            entries_.erase(key);
+        }
+        promise.set_exception(std::current_exception());
+        throw;
+    }
+}
+
+std::shared_ptr<const SceneAssets>
+sharedSceneAssets(Game game, u64 seed)
+{
+    // Immutable values behind the memo's own mutex, no SimContext
+    // state, and no phase root reaches it: SequenceRunner resolves its
+    // assets on the coordinating thread before the prep thread starts.
+    // texpim-lint: allow(D4) process-wide asset memo, see above
+    static SceneAssetMemo memo(buildSceneAssets);
+    return memo.get(game, seed);
+}
+
+Scene
+frameScene(const Workload &wl, unsigned frame, const SceneAssets &assets)
+{
+    TEXPIM_ASSERT(assets.game == wl.game, "assets of ",
+                  gameName(assets.game), " used for ", wl.label());
+    Scene s;
     s.name = wl.label();
+    s.objects = assets.objects;
+    s.textures = assets.textures;
+    s.camera = gameCamera(wl.game, frame);
     s.settings.width = wl.width;
     s.settings.height = wl.height;
     s.settings.filterMode = FilterMode::Trilinear;
     s.settings.maxAniso = defaultMaxAniso(wl.width);
     return s;
+}
+
+Scene
+buildGameScene(const Workload &wl, unsigned frame, u64 seed)
+{
+    return frameScene(wl, frame, *sharedSceneAssets(wl.game, seed));
 }
 
 } // namespace texpim

@@ -13,7 +13,13 @@
 #ifndef TEXPIM_SCENE_GAME_PROFILES_HH
 #define TEXPIM_SCENE_GAME_PROFILES_HH
 
+#include <functional>
+#include <future>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scene/scene.hh"
@@ -50,14 +56,77 @@ const std::vector<Workload> &paperWorkloads();
  */
 unsigned defaultMaxAniso(unsigned width);
 
+/** The content seed the paper figures use. */
+inline constexpr u64 kDefaultSceneSeed = 0x7e01d;
+
 /**
- * Build the scene for a workload.
+ * The frame-independent part of a game's scene: its texture store and
+ * its object table. Both depend on (game, seed) only; the camera is the
+ * only thing a frame changes. Immutable once built, so one instance is
+ * shared by every frame, sequence and sweep job that asks for the same
+ * key. Building one touches no SimContext state (stats, faults,
+ * deadline).
+ */
+struct SceneAssets
+{
+    Game game = Game::Doom3;
+    u64 seed = 0;
+    std::shared_ptr<const TextureStore> textures;
+    std::vector<SceneObject> objects;
+};
+
+/** Build `game`'s assets from scratch (no memo). Texture addresses
+ *  follow the fixed TextureStore::add order, so two builds of one key
+ *  are bit-identical. */
+SceneAssets buildSceneAssets(Game game, u64 seed);
+
+/**
+ * A (game, seed) -> assets memo. Each key is built once, by its first
+ * requester and outside the memo's lock: different keys build in
+ * parallel, and concurrent requests for one key wait for its single
+ * build. A build that throws is not cached. Entries live as long as
+ * the memo.
+ */
+class SceneAssetMemo
+{
+  public:
+    using Ptr = std::shared_ptr<const SceneAssets>;
+    using Builder = std::function<SceneAssets(Game, u64)>;
+
+    explicit SceneAssetMemo(Builder build);
+
+    Ptr get(Game game, u64 seed);
+
+  private:
+    using Key = std::pair<Game, u64>;
+
+    Builder build_;
+    std::mutex mu_;
+    std::map<Key, std::shared_future<Ptr>> entries_;
+};
+
+/**
+ * The process-wide assets of (game, seed), from one SceneAssetMemo over
+ * buildSceneAssets. Its entries live until the process exits, so memory
+ * is bounded by the distinct keys a process uses (DESIGN.md "Scene
+ * assets" gives the per-game sizes).
+ */
+std::shared_ptr<const SceneAssets> sharedSceneAssets(Game game, u64 seed);
+
+/** The per-frame view of `assets`: `wl`'s name and settings and the
+ *  game's camera at `frame`, sharing the texture store. */
+Scene frameScene(const Workload &wl, unsigned frame,
+                 const SceneAssets &assets);
+
+/**
+ * Build the scene for a workload from the shared assets of
+ * (wl.game, seed).
  * @param frame camera-path position; consecutive frames move the
  *              camera through the level
  * @param seed  content seed (fixed default for reproducibility)
  */
 Scene buildGameScene(const Workload &wl, unsigned frame = 0,
-                     u64 seed = 0x7e01d);
+                     u64 seed = kDefaultSceneSeed);
 
 } // namespace texpim
 

@@ -10,7 +10,7 @@ withTextureFormat(const Scene &scene, TexelFormat format)
     out.objects = scene.objects;
     out.camera = scene.camera;
     out.settings = scene.settings;
-    out.textures = std::make_shared<TextureStore>();
+    auto store = std::make_shared<TextureStore>();
     for (u32 t = 0; t < scene.textures->count(); ++t) {
         const Texture &src = scene.textures->texture(t);
         // Re-author from the stored level-0 image. For an already-
@@ -20,8 +20,9 @@ withTextureFormat(const Scene &scene, TexelFormat format)
         for (unsigned y = 0; y < src.height(0); ++y)
             for (unsigned x = 0; x < src.width(0); ++x)
                 base.setTexel(x, y, src.fetchTexel(0, int(x), int(y)));
-        out.textures->add(src.name(), std::move(base), format);
+        store->add(src.name(), std::move(base), format);
     }
+    out.textures = std::move(store);
     return out;
 }
 

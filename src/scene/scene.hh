@@ -64,14 +64,19 @@ struct RenderSettings
     unsigned maxAniso = 16; //!< 1 disables anisotropic filtering
 };
 
-/** A renderable scene plus its texture store. */
+/**
+ * A renderable scene plus its texture store. The store is published
+ * const: whoever builds one fills a private TextureStore and only then
+ * hands it to a Scene, so a store reachable from a Scene never changes
+ * and may be shared by many scenes (see SceneAssets).
+ */
 // texpim-lint: pool-shared one scene snapshot is read by every phase-1 worker
 struct Scene
 {
     std::string name;
     std::vector<SceneObject> objects;
-    std::shared_ptr<TextureStore> textures =
-        std::make_shared<TextureStore>();
+    std::shared_ptr<const TextureStore> textures =
+        std::make_shared<const TextureStore>();
     Camera camera;
     RenderSettings settings;
 

@@ -133,8 +133,18 @@ readTrace(std::istream &is)
 
     scene.settings.width = readPod<unsigned>(is);
     scene.settings.height = readPod<unsigned>(is);
-    scene.settings.filterMode = FilterMode(readPod<u8>(is));
+    if (scene.settings.width == 0 || scene.settings.height == 0 ||
+        scene.settings.width > kMaxTraceExtent ||
+        scene.settings.height > kMaxTraceExtent)
+        TEXPIM_FATAL("implausible frame size ", scene.settings.width, "x",
+                     scene.settings.height, " in trace");
+    u8 filter = readPod<u8>(is);
+    if (filter > u8(FilterMode::TrilinearEwa))
+        TEXPIM_FATAL("unknown filter mode ", unsigned(filter), " in trace");
+    scene.settings.filterMode = FilterMode(filter);
     scene.settings.maxAniso = readPod<unsigned>(is);
+    if (scene.settings.maxAniso == 0)
+        TEXPIM_FATAL("max anisotropy 0 in trace (1 disables it)");
 
     scene.camera.eye = readPod<Vec3>(is);
     scene.camera.center = readPod<Vec3>(is);
@@ -143,13 +153,19 @@ readTrace(std::istream &is)
     scene.camera.zNear = readPod<float>(is);
     scene.camera.zFar = readPod<float>(is);
 
+    // The store stays private until every texture is in, then is
+    // published const.
+    auto textures = std::make_shared<TextureStore>();
     u32 ntex = readPod<u32>(is);
     for (u32 t = 0; t < ntex; ++t) {
         std::string name = readString(is);
-        TexelFormat format = TexelFormat(readPod<u8>(is));
+        u8 fmt = readPod<u8>(is);
+        if (fmt > u8(TexelFormat::Bc1))
+            TEXPIM_FATAL("unknown texel format ", unsigned(fmt), " in trace");
+        TexelFormat format = TexelFormat(fmt);
         unsigned w = readPod<unsigned>(is);
         unsigned h = readPod<unsigned>(is);
-        if (w == 0 || h == 0 || w > 16384 || h > 16384)
+        if (w == 0 || h == 0 || w > kMaxTraceExtent || h > kMaxTraceExtent)
             TEXPIM_FATAL("implausible texture size ", w, "x", h);
         TextureImage img(w, h);
         std::vector<Rgba8> px(size_t(w) * h);
@@ -160,8 +176,9 @@ readTrace(std::istream &is)
         for (unsigned y = 0; y < h; ++y)
             for (unsigned x = 0; x < w; ++x)
                 img.setTexel(x, y, px[size_t(y) * w + x]);
-        scene.textures->add(std::move(name), std::move(img), format);
+        textures->add(std::move(name), std::move(img), format);
     }
+    scene.textures = std::move(textures);
 
     u32 nobj = readPod<u32>(is);
     for (u32 i = 0; i < nobj; ++i) {
@@ -171,21 +188,29 @@ readTrace(std::istream &is)
             TEXPIM_FATAL("object references texture ", o.textureId,
                          " of ", ntex);
         o.detailTextureId = readPod<i32>(is);
-        if (o.detailTextureId >= i32(ntex))
+        if (o.detailTextureId < -1 || o.detailTextureId >= i32(ntex))
             TEXPIM_FATAL("object references detail texture ",
                          o.detailTextureId, " of ", ntex);
         o.detailUvScale = readPod<float>(is);
         o.model = readMat4(is);
         u32 nv = readPod<u32>(is);
+        if (nv > kMaxTraceMeshVerts)
+            TEXPIM_FATAL("implausible vertex count ", nv, " in object ", i);
         o.mesh.verts.resize(nv);
         is.read(reinterpret_cast<char *>(o.mesh.verts.data()),
-                std::streamsize(nv * sizeof(Vertex)));
+                std::streamsize(size_t(nv) * sizeof(Vertex)));
         u32 ni = readPod<u32>(is);
+        if (ni > kMaxTraceMeshIndices || ni % 3 != 0)
+            TEXPIM_FATAL("implausible index count ", ni, " in object ", i);
         o.mesh.indices.resize(ni);
         is.read(reinterpret_cast<char *>(o.mesh.indices.data()),
-                std::streamsize(ni * sizeof(u32)));
+                std::streamsize(size_t(ni) * sizeof(u32)));
         if (!is)
             TEXPIM_FATAL("truncated trace in object ", i);
+        for (u32 idx : o.mesh.indices)
+            if (idx >= nv)
+                TEXPIM_FATAL("object ", i, " index ", idx,
+                             " out of range of ", nv, " vertices");
         scene.objects.push_back(std::move(o));
     }
     return scene;

@@ -26,10 +26,19 @@ namespace texpim {
 
 inline constexpr u32 kTraceVersion = 2;
 
+/** Plausibility limits readTrace enforces on untrusted input: frame
+ *  and texture extents, and per-object vertex and index counts (each
+ *  checked before anything is allocated for it). */
+inline constexpr unsigned kMaxTraceExtent = 16384;
+inline constexpr u32 kMaxTraceMeshVerts = 1u << 20;
+inline constexpr u32 kMaxTraceMeshIndices = 3u << 20;
+
 /** Serialize a scene to a stream. */
 void writeTrace(const Scene &scene, std::ostream &os);
 
-/** Deserialize; fatal() on malformed input (user error). */
+/** Deserialize; fatal() on malformed input (user error): bad magic or
+ *  version, truncation, unknown filter/texel-format bytes, zero or
+ *  implausible sizes, out-of-range texture ids and mesh indices. */
 Scene readTrace(std::istream &is);
 
 /** File helpers. */

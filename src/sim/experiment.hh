@@ -28,7 +28,7 @@ struct WorkloadResult
 struct SuiteOptions
 {
     unsigned frame = 3; //!< camera-path frame to render
-    u64 seed = 0x7e01d;
+    u64 seed = kDefaultSceneSeed;
     /** Optional downscale divisor for quick runs (1 = paper size). */
     unsigned resolutionDivisor = 1;
     bool verbose = false;

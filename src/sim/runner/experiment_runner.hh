@@ -89,7 +89,7 @@ struct ExperimentSpec
     SimConfig config{};
     Workload workload{};
     unsigned frame = 3;   //!< camera-path position
-    u64 seed = 0x7e01d;   //!< content seed
+    u64 seed = kDefaultSceneSeed; //!< content seed
 
     /** Max anisotropy; 0 = defaultMaxAniso(workload.width). Callers
      *  running downscaled grids pass the paper-size default so quick

@@ -43,21 +43,26 @@ SequenceRunner::run(const Workload &wl, unsigned num_frames,
     TEXPIM_ASSERT(num_frames > 0, "empty sequence");
     sim_.beginSequence();
 
+    // Resolved before any prep thread exists: the asset memo is
+    // process-wide state that only coordinating threads touch.
+    std::shared_ptr<const SceneAssets> assets =
+        sharedSceneAssets(wl.game, seed);
     unsigned depth = sim_.config().gpu.pipelineDepth;
     if (depth <= 1 || num_frames <= 1)
-        return runSerial(wl, num_frames, start_frame, seed);
-    return runPipelined(wl, num_frames, start_frame, seed, depth);
+        return runSerial(wl, num_frames, start_frame, *assets);
+    return runPipelined(wl, num_frames, start_frame, *assets, depth);
 }
 
 SequenceRunner::PendingFrame
-SequenceRunner::recordOne(const Workload &wl, unsigned frame, u64 seed,
+SequenceRunner::recordOne(const Workload &wl, unsigned frame,
+                          const SceneAssets &assets,
                           std::vector<Addr> &prev_blocks)
 {
     PendingFrame p;
     // prepareFrameScene must precede recording: the filter-mode
     // coercion changes what functional sampling computes.
     p.scene = std::make_unique<Scene>(
-        sim_.prepareFrameScene(buildGameScene(wl, frame, seed)));
+        sim_.prepareFrameScene(frameScene(wl, frame, assets)));
     p.fb = std::make_shared<FrameBuffer>(p.scene->settings.width,
                                          p.scene->settings.height);
     p.job = sim_.recordSequenceFrame(*p.scene, *p.fb);
@@ -85,13 +90,14 @@ SequenceRunner::finishOne(PendingFrame &p)
 
 std::vector<SimResult>
 SequenceRunner::runSerial(const Workload &wl, unsigned num_frames,
-                          unsigned start_frame, u64 seed)
+                          unsigned start_frame, const SceneAssets &assets)
 {
     std::vector<SimResult> out;
     out.reserve(num_frames);
     std::vector<Addr> prev_blocks;
     for (unsigned f = 0; f < num_frames; ++f) {
-        PendingFrame p = recordOne(wl, start_frame + f, seed, prev_blocks);
+        PendingFrame p =
+            recordOne(wl, start_frame + f, assets, prev_blocks);
         out.push_back(finishOne(p));
     }
     return out;
@@ -99,11 +105,11 @@ SequenceRunner::runSerial(const Workload &wl, unsigned num_frames,
 
 std::vector<SimResult>
 SequenceRunner::runPipelined(const Workload &wl, unsigned num_frames,
-                             unsigned start_frame, u64 seed,
-                             unsigned depth)
+                             unsigned start_frame,
+                             const SceneAssets &assets, unsigned depth)
 {
-    // One prep thread records frames ahead (scene build + functional
-    // rasterization on the render_threads pool); the coordinating
+    // One prep thread records frames ahead (per-frame scene view +
+    // functional rasterization on the render_threads pool); the coordinating
     // thread finishes them strictly in order. `in_flight` counts
     // frames recorded or recording but not yet finished, bounding both
     // the queue and the prep thread's lead to gpu.pipeline_depth.
@@ -135,7 +141,7 @@ SequenceRunner::runPipelined(const Workload &wl, unsigned num_frames,
                     ++in_flight;
                 }
                 PendingFrame p =
-                    recordOne(wl, start_frame + f, seed, prev_blocks);
+                    recordOne(wl, start_frame + f, assets, prev_blocks);
                 {
                     std::lock_guard<std::mutex> lk(mu);
                     ready.push_back(std::move(p));

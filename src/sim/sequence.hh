@@ -48,7 +48,9 @@ class SequenceRunner
     /**
      * Render `num_frames` consecutive frames of `wl`'s camera path
      * with warm inter-frame state (renderSequence semantics). Results
-     * are bit-identical for every gpu.pipeline_depth setting.
+     * are bit-identical for every gpu.pipeline_depth setting. The
+     * scene assets of (wl.game, seed) are resolved once, here, on the
+     * calling thread; each frame then only makes its camera view.
      */
     std::vector<SimResult> run(const Workload &wl, unsigned num_frames,
                                unsigned start_frame, u64 seed);
@@ -66,10 +68,12 @@ class SequenceRunner
         u64 reusedPrev = 0;
     };
 
-    /** Build + prepare the scene for `frame`, record its functional
-     *  phase and compute block reuse against `prev_blocks` (updated
-     *  in place). Runs on the prep thread when pipelining. */
-    PendingFrame recordOne(const Workload &wl, unsigned frame, u64 seed,
+    /** Make + prepare `frame`'s view of the shared `assets`, record
+     *  its functional phase and compute block reuse against
+     *  `prev_blocks` (updated in place). Runs on the prep thread when
+     *  pipelining. */
+    PendingFrame recordOne(const Workload &wl, unsigned frame,
+                           const SceneAssets &assets,
                            std::vector<Addr> &prev_blocks);
 
     /** Reset per-frame stats, replay and finalize one recorded frame.
@@ -80,13 +84,15 @@ class SequenceRunner
      *  the coordinating thread). */
     std::vector<SimResult> runSerial(const Workload &wl,
                                      unsigned num_frames,
-                                     unsigned start_frame, u64 seed);
+                                     unsigned start_frame,
+                                     const SceneAssets &assets);
 
     /** The inter-frame pipeline: a prep thread records ahead, bounded
      *  by gpu.pipeline_depth; finishes stay in order. */
     std::vector<SimResult> runPipelined(const Workload &wl,
                                         unsigned num_frames,
-                                        unsigned start_frame, u64 seed,
+                                        unsigned start_frame,
+                                        const SceneAssets &assets,
                                         unsigned depth);
 
     RenderingSimulator &sim_;

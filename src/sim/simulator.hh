@@ -125,7 +125,7 @@ class RenderingSimulator
     std::vector<SimResult> renderSequence(const Workload &wl,
                                           unsigned num_frames,
                                           unsigned start_frame = 0,
-                                          u64 seed = 0x7e01d);
+                                          u64 seed = kDefaultSceneSeed);
 
     // --- Split frame entry points (the inter-frame pipeline) ---
     //

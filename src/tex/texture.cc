@@ -211,8 +211,6 @@ TextureStore::add(std::string name, TextureImage base, TexelFormat format)
     Addr base_addr = (next_addr_ + align - 1) & ~(align - 1);
     auto tex = std::make_unique<Texture>(std::move(name), std::move(base),
                                          base_addr, format);
-    // texpim-lint: allow(P2) ownership transfer: add() runs while the
-    // store is still thread-private during scene construction
     next_addr_ = base_addr + tex->byteSize();
     textures_.push_back(std::move(tex));
     return u32(textures_.size() - 1);

@@ -8,16 +8,22 @@
 namespace texpim {
 namespace {
 
-/** A minimal scene: one textured quad facing the camera. */
+/** A minimal scene: one textured quad facing the camera, optionally
+ *  with a detail layer. */
 Scene
-quadScene(unsigned w, unsigned h, Material mat = Material::Checker)
+quadScene(unsigned w, unsigned h, Material mat = Material::Checker,
+          bool detail = false)
 {
     Scene s;
     s.name = "quad";
-    u32 tex = s.textures->add("tex", generateTexture(mat, 64, 1));
+    auto store = std::make_shared<TextureStore>();
     SceneObject o;
     o.mesh = makeQuad({-1, -1, 0}, {2, 0, 0}, {0, 2, 0}, 1.0f);
-    o.textureId = tex;
+    o.textureId = store->add("tex", generateTexture(mat, 64, 1));
+    if (detail)
+        o.detailTextureId = i32(
+            store->add("det", generateTexture(Material::Stone, 64, 2)));
+    s.textures = std::move(store);
     s.objects.push_back(std::move(o));
     s.camera.eye = {0, 0, 2};
     s.camera.center = {0, 0, 0};
@@ -89,10 +95,7 @@ TEST(Renderer, DetailLayerDoublesTextureRequests)
     FrameBuffer fb1(64, 64);
     FrameStats without = rig_a.renderer.renderFrame(plain, fb1);
 
-    Scene with = quadScene(64, 64);
-    u32 det = with.textures->add("det",
-                                 generateTexture(Material::Stone, 64, 2));
-    with.objects[0].detailTextureId = i32(det);
+    Scene with = quadScene(64, 64, Material::Checker, true);
     FrameBuffer fb2(64, 64);
     FrameStats stats = rig_b.renderer.renderFrame(with, fb2);
 
@@ -125,11 +128,12 @@ TEST(Renderer, ObliqueSurfaceRaisesAnisotropyAndAngle)
 
     Scene floor;
     floor.name = "floor";
-    u32 tex = floor.textures->add(
-        "tex", generateTexture(Material::Checker, 256, 1));
+    auto store = std::make_shared<TextureStore>();
     SceneObject o;
     o.mesh = makeQuadUv({-5, 0, 5}, {10, 0, 0}, {0, 0, -60}, 4.0f, 24.0f);
-    o.textureId = tex;
+    o.textureId =
+        store->add("tex", generateTexture(Material::Checker, 256, 1));
+    floor.textures = std::move(store);
     floor.objects.push_back(std::move(o));
     floor.camera.eye = {0, 0.5f, 2};
     floor.camera.center = {0, 0.4f, 0};

@@ -62,12 +62,23 @@ INSTANTIATE_TEST_SUITE_P(Suite, AllWorkloads,
 
 TEST(GameProfiles, DeterministicAcrossCalls)
 {
+    // buildGameScene hands out shared assets, so two calls would
+    // compare one instance with itself: compare against fresh builds.
     Workload wl{Game::Doom3, 640, 480};
     Scene a = buildGameScene(wl, 5);
-    Scene b = buildGameScene(wl, 5);
-    ASSERT_EQ(a.objects.size(), b.objects.size());
-    EXPECT_EQ(a.triangleCount(), b.triangleCount());
-    EXPECT_FLOAT_EQ(a.camera.eye.z, b.camera.eye.z);
+    Scene b = frameScene(wl, 5, buildSceneAssets(wl.game, kDefaultSceneSeed));
+    Scene c = frameScene(wl, 5, buildSceneAssets(wl.game, kDefaultSceneSeed));
+    ASSERT_NE(a.textures.get(), b.textures.get());
+    for (const Scene *s : {&b, &c}) {
+        ASSERT_EQ(a.objects.size(), s->objects.size());
+        EXPECT_EQ(a.triangleCount(), s->triangleCount());
+        EXPECT_FLOAT_EQ(a.camera.eye.z, s->camera.eye.z);
+        ASSERT_EQ(a.textures->count(), s->textures->count());
+        EXPECT_EQ(a.textures->totalBytes(), s->textures->totalBytes());
+        for (u32 t = 0; t < a.textures->count(); ++t)
+            EXPECT_TRUE(a.textures->texture(t).level(0).pixels() ==
+                        s->textures->texture(t).level(0).pixels());
+    }
 }
 
 TEST(GameProfiles, CameraMovesAcrossFrames)

@@ -9,23 +9,27 @@ namespace {
 /** A small but real workload (riddick profile at reduced resolution)
  *  that runs all four designs in well under a second each. */
 Scene
-testScene()
+testScene(bool fresh_assets = false)
 {
     Workload wl{Game::Riddick, 320, 240};
-    Scene s = buildGameScene(wl, 3);
+    Scene s = fresh_assets
+                  ? frameScene(wl, 3,
+                               buildSceneAssets(wl.game, kDefaultSceneSeed))
+                  : buildGameScene(wl, 3);
     s.settings.maxAniso = 8;
     return s;
 }
 
 SimResult
-run(Design d, float threshold = kThreshold001Pi, bool aniso = true)
+run(Design d, float threshold = kThreshold001Pi, bool aniso = true,
+    bool fresh_assets = false)
 {
     SimConfig cfg;
     cfg.design = d;
     cfg.angleThresholdRad = threshold;
     cfg.disableAniso = !aniso;
     RenderingSimulator sim(cfg);
-    return sim.renderScene(testScene());
+    return sim.renderScene(testScene(fresh_assets));
 }
 
 TEST(Simulator, AllDesignsRenderSaneFrames)
@@ -136,8 +140,9 @@ TEST(Simulator, EnergyFollowsPerformance)
 
 TEST(Simulator, DeterministicAcrossRuns)
 {
+    // The second run renders freshly built assets, not the shared ones.
     SimResult a = run(Design::ATfim);
-    SimResult b = run(Design::ATfim);
+    SimResult b = run(Design::ATfim, kThreshold001Pi, true, true);
     EXPECT_EQ(a.frame.frameCycles, b.frame.frameCycles);
     EXPECT_EQ(a.offChipTotalBytes, b.offChipTotalBytes);
     EXPECT_EQ(differingPixels(*a.image, *b.image), 0u);
