@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the functional filtering
- * kernels: conventional bilinear / trilinear / anisotropic sampling
- * and the A-TFIM decomposition, across anisotropy levels.
+ * kernels: the quad sampler's conventional trilinear / anisotropic
+ * sampling and its A-TFIM decomposition, across anisotropy levels.
  */
 
 #include <benchmark/benchmark.h>
@@ -41,19 +41,38 @@ coordsForAniso(Rng &rng, unsigned aniso)
     return c;
 }
 
+/** One 2x2 fragment quad around a random anchor: the lanes step by the
+ *  screen-space derivatives, as the renderer's quads do. */
+void
+quadForAniso(Rng &rng, unsigned aniso, SampleCoords (&quad)[kQuadLanes])
+{
+    SampleCoords c = coordsForAniso(rng, aniso);
+    for (unsigned q = 0; q < kQuadLanes; ++q) {
+        quad[q] = c;
+        quad[q].uv = c.uv + c.ddx * float(q & 1) + c.ddy * float(q >> 1);
+    }
+}
+
+constexpr Addr kLineMask = ~Addr(63);  //!< texture-L1 line
+constexpr Addr kBurstMask = ~Addr(31); //!< HMC DRAM burst
+
+// The phase-1 samplers: one call filters a full quad, so items are
+// fragments (kQuadLanes per iteration).
 void
 BM_SampleConventional(benchmark::State &state)
 {
     unsigned aniso = unsigned(state.range(0));
     Texture &tex = testTexture();
     Rng rng(7);
-    SampleResult out;
+    SampleCoords quad[kQuadLanes];
+    QuadConvOut out;
     for (auto _ : state) {
-        SampleCoords c = coordsForAniso(rng, aniso);
-        sampleConventional(tex, c, FilterMode::Trilinear, 16, out);
+        quadForAniso(rng, aniso, quad);
+        sampleConventionalQuad(tex, quad, kQuadLanes, FilterMode::Trilinear,
+                               16, kLineMask, out);
         benchmark::DoNotOptimize(out.color);
     }
-    state.SetItemsProcessed(i64(state.iterations()));
+    state.SetItemsProcessed(i64(state.iterations()) * kQuadLanes);
 }
 
 void
@@ -62,13 +81,15 @@ BM_SampleDecomposed(benchmark::State &state)
     unsigned aniso = unsigned(state.range(0));
     Texture &tex = testTexture();
     Rng rng(7);
-    DecomposedSampleResult out;
+    SampleCoords quad[kQuadLanes];
+    QuadDecompOut out;
     for (auto _ : state) {
-        SampleCoords c = coordsForAniso(rng, aniso);
-        sampleDecomposed(tex, c, FilterMode::Trilinear, 16, out);
+        quadForAniso(rng, aniso, quad);
+        sampleDecomposedQuad(tex, quad, kQuadLanes, FilterMode::Trilinear,
+                             16, kBurstMask, out);
         benchmark::DoNotOptimize(out.color);
     }
-    state.SetItemsProcessed(i64(state.iterations()));
+    state.SetItemsProcessed(i64(state.iterations()) * kQuadLanes);
 }
 
 void

@@ -98,18 +98,14 @@ struct DepthPoint
 };
 
 Design
-parseDesign(const std::string &d)
+designArg(const char *d)
 {
-    if (d == "baseline")
-        return Design::Baseline;
-    if (d == "bpim")
-        return Design::BPim;
-    if (d == "stfim")
-        return Design::STfim;
-    if (d == "atfim")
-        return Design::ATfim;
-    std::fprintf(stderr, "perf_render: unknown design '%s'\n", d.c_str());
-    std::exit(2);
+    Design out = Design::Baseline;
+    if (!parseDesign(d, out)) {
+        std::fprintf(stderr, "perf_render: unknown design '%s'\n", d);
+        std::exit(2);
+    }
+    return out;
 }
 
 std::vector<unsigned>
@@ -173,7 +169,7 @@ main(int argc, char **argv)
         else if (const char *v = val("seq_gate"))
             seq_gate = std::atof(v);
         else if (const char *v = val("design"))
-            design = parseDesign(v);
+            design = designArg(v);
         else {
             std::fprintf(stderr, "perf_render: unknown arg '%s'\n", a);
             return 2;

@@ -413,22 +413,6 @@ parseFailureKind(const std::string &kind)
                  "' (throw|panic|hang)");
 }
 
-bool
-parseDesignToken(const std::string &d, Design &out)
-{
-    if (d == "baseline")
-        out = Design::Baseline;
-    else if (d == "b-pim" || d == "bpim")
-        out = Design::BPim;
-    else if (d == "s-tfim" || d == "stfim")
-        out = Design::STfim;
-    else if (d == "a-tfim" || d == "atfim")
-        out = Design::ATfim;
-    else
-        return false;
-    return true;
-}
-
 /**
  * Apply sim.inject_failure= to the sweep grid: a comma-separated list
  * of `<kind>` (all specs) or `<design>:<kind>` (that design's specs),
@@ -457,7 +441,7 @@ applyInjectedFailures(std::vector<ExperimentSpec> &specs,
                 s.inject = kind;
         } else {
             Design d;
-            if (!parseDesignToken(item.substr(0, colon), d))
+            if (!parseDesign(item.substr(0, colon), d))
                 TEXPIM_FATAL("bad sim.inject_failure design '",
                              item.substr(0, colon),
                              "' (baseline|bpim|stfim|atfim)");

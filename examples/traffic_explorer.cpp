@@ -47,17 +47,8 @@ main(int argc, char **argv)
         std::sscanf(argv[2], "%ux%u", &wl.width, &wl.height) != 2)
         TEXPIM_FATAL("bad resolution '", argv[2], "'");
     if (argc > 3) {
-        std::string d = argv[3];
-        if (d == "baseline")
-            design = Design::Baseline;
-        else if (d == "bpim")
-            design = Design::BPim;
-        else if (d == "stfim")
-            design = Design::STfim;
-        else if (d == "atfim")
-            design = Design::ATfim;
-        else
-            TEXPIM_FATAL("unknown design '", d, "'");
+        if (!parseDesign(argv[3], design))
+            TEXPIM_FATAL("unknown design '", argv[3], "'");
     }
     if (argc > 4)
         frame = unsigned(std::atoi(argv[4]));

@@ -1,8 +1,6 @@
 #include "gpu/host_texture_path.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/logging.hh"
 #include "common/trace_events.hh"
@@ -52,39 +50,14 @@ HostTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
                             unsigned count, ReplayStream &stream,
                             SamplerScratch &scratch) const
 {
-    TEXPIM_ASSERT(base.tex != nullptr, "texture request without texture");
     TEXPIM_ASSERT(base.clusterId < params_.clusters, "bad cluster id");
 
-    // Functional filtering + the exact texel-fetch trace. The quad
-    // sampler coalesces each lane's fetches to cache lines directly
-    // (same mask TagCache::lineAddr applies; the fetch unit coalesces
-    // within one request), yielding the sorted/deduplicated block list
-    // of the scalar sampleConventional's TexFetch vector.
-    const Addr mask = ~Addr(l1_[base.clusterId]->lineBytes() - 1);
-    QuadConvOut &out = scratch.quadConv;
-    sampleConventionalQuad(*base.tex, coords, count, base.mode, base.maxAniso,
-                           mask, out, scratch.offsetCache);
-
-    for (unsigned q = 0; q < count; ++q) {
-        TexSampleRec rec;
-        rec.color = out.color[q];
-        rec.texels = out.texels[q];
-        rec.filterOps = out.filterOps[q];
-        rec.anisoRatio = out.anisoRatio[q];
-        rec.route = out.route[q];
-        rec.blockOff = u32(stream.blocks.size());
-        rec.blockCount = out.blockCount[q];
-        stream.blocks.insert(stream.blocks.end(), out.blocks[q],
-                             out.blocks[q] + out.blockCount[q]);
-        stream.samples.push_back(rec);
-        // For the linear modes the sampler's computeLod *is* the
-        // renderer's probe (same arguments); Nearest filters at
-        // max_aniso 1, so the probe needs its own call.
-        scratch.quadProbeAniso[q] =
-            base.mode == FilterMode::Nearest
-                ? computeLod(*base.tex, coords[q], base.maxAniso).anisoRatio
-                : out.anisoRatio[q];
-    }
+    // Functional filtering + the exact texel-fetch trace, coalesced to
+    // cache lines (same mask TagCache::lineAddr applies; the fetch
+    // unit coalesces within one request).
+    appendConventionalQuad(base, coords, count,
+                           ~Addr(l1_[base.clusterId]->lineBytes() - 1),
+                           stream, scratch);
 }
 
 TexResponse
@@ -155,26 +128,6 @@ HostTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
     *addr_ops_ += texels;
     *filter_ops_ += rec.filterOps;
     *aniso_samples_ += rec.anisoRatio;
-    // Optional request tracing (TEXPIM_TRACE_TEX=N dumps every Nth
-    // request's timing — see README "Debugging aids").
-    // thread_local: each worker thread throttles its own dump stream
-    // without racing (debug aid only; no effect on results).
-    // texpim-lint: allow(D1) debug-only trace toggle, never affects results
-    static thread_local long trace_every =
-        std::getenv("TEXPIM_TRACE_TEX")
-            ? std::atol(std::getenv("TEXPIM_TRACE_TEX"))
-            : 0;
-    static thread_local long trace_count = 0;
-    if (trace_every > 0 && ++trace_count % trace_every == 0) {
-        std::fprintf(stderr,
-                     "req#%ld c%u issue=%llu start=%llu t0=%llu ready=%llu "
-                     "complete=%llu texels=%u lines=%u\n",
-                     trace_count, req.clusterId,
-                     (unsigned long long)req.issue,
-                     (unsigned long long)start, (unsigned long long)t0,
-                     (unsigned long long)data_ready,
-                     (unsigned long long)complete, texels, rec.blockCount);
-    }
     lat_total_->sample(double(complete - req.issue));
     lat_unit_wait_->sample(double(start - req.issue));
     lat_mem_->sample(double(data_ready - t0));

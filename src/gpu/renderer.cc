@@ -173,8 +173,8 @@ Renderer::Renderer(const GpuParams &params, MemorySystem &mem,
     stats_.counter("end_windows",
                    "cycle the last in-flight texture request retired");
     stats_.counter("end_rop", "cycle the last ROP writeback drained");
-    stats_.histogram("tile_cycles", 0.0, 65536.0, 64,
-                     "per-tile processing time in cycles");
+    tile_cycles_ = &stats_.histogram("tile_cycles", 0.0, 65536.0, 64,
+                                     "per-tile processing time in cycles");
 }
 
 Cycle
@@ -669,8 +669,7 @@ Renderer::replayPhase(FrameCtx &ctx, FrameStats &fs)
 
         TEXPIM_PROF_CYCLES(prof::kZoneSchedule,
                            ctx.clusterTime[cluster] - tile_start);
-        stats_.histogram("tile_cycles", 0.0, 65536.0, 64)
-            .sample(double(ctx.clusterTime[cluster] - tile_start));
+        tile_cycles_->sample(double(ctx.clusterTime[cluster] - tile_start));
         TEXPIM_TRACE_SPAN("raster", "tile", cluster, tile_start,
                           ctx.clusterTime[cluster]);
         TEXPIM_TRACE_COUNTER("raster", "fragments_shaded",

@@ -206,6 +206,9 @@ class Renderer
     TagCache z_cache_;
     TagCache color_cache_;
     StatGroup stats_;
+    // Sampled once per replayed tile; bound at registration (StatGroup
+    // storage is node-based, so the handle stays valid).
+    StatHistogram *tile_cycles_;
     bool collect_frame_blocks_ = false;
 
     static constexpr Addr kGeometryBase = 0x4000'0000;

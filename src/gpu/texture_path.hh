@@ -51,6 +51,18 @@ struct TexResponse
     Cycle complete = 0;
 };
 
+/**
+ * The conventional designs' (Baseline, B-PIM, S-TFIM) sampleQuad body:
+ * filter the quad with sampleConventionalQuad, coalesce each lane's
+ * fetches with `block_mask` (the path's cache-line or DRAM-burst
+ * mask), append one TexSampleRec plus its block list per lane and fill
+ * scratch.quadProbeAniso.
+ */
+void appendConventionalQuad(const TexRequest &base,
+                            const SampleCoords *coords, unsigned count,
+                            Addr block_mask, ReplayStream &stream,
+                            SamplerScratch &scratch);
+
 // texpim-lint: pool-shared one path object serves every phase-1 worker
 class TexturePath
 {

@@ -115,7 +115,7 @@ AtfimTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
     const Addr mask = ~Addr(atfim_.childFetchGranularityBytes - 1);
     QuadDecompOut &out = scratch.quadDecomp;
     sampleDecomposedQuad(*base.tex, coords, count, base.mode, base.maxAniso,
-                         mask, out, scratch.offsetCache);
+                         mask, out);
 
     for (unsigned q = 0; q < count; ++q) {
         unsigned n = out.anisoRatio[q];

@@ -21,4 +21,20 @@ designName(Design d)
     }
 }
 
+bool
+parseDesign(std::string_view token, Design &out)
+{
+    if (token == "baseline")
+        out = Design::Baseline;
+    else if (token == "b-pim" || token == "bpim")
+        out = Design::BPim;
+    else if (token == "s-tfim" || token == "stfim")
+        out = Design::STfim;
+    else if (token == "a-tfim" || token == "atfim")
+        out = Design::ATfim;
+    else
+        return false;
+    return true;
+}
+
 } // namespace texpim

@@ -6,6 +6,8 @@
 #ifndef TEXPIM_SIM_DESIGN_HH
 #define TEXPIM_SIM_DESIGN_HH
 
+#include <string_view>
+
 #include "common/types.hh"
 
 namespace texpim {
@@ -18,6 +20,11 @@ enum class Design : u8 {
 };
 
 const char *designName(Design d);
+
+/** Parse a design token (baseline | b-pim | bpim | s-tfim | stfim |
+ *  a-tfim | atfim) into `out`; false, with `out` untouched, for any
+ *  other string. Callers own their error reporting. */
+bool parseDesign(std::string_view token, Design &out);
 
 /** The paper's camera-angle thresholds (§VII-D), in radians. */
 inline constexpr float kPiF = 3.14159265358979323846f;

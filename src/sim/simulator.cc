@@ -57,15 +57,7 @@ SimConfig::fromConfig(const Config &cfg)
 {
     SimConfig c;
     std::string d = cfg.getString("design", "baseline");
-    if (d == "baseline")
-        c.design = Design::Baseline;
-    else if (d == "b-pim" || d == "bpim")
-        c.design = Design::BPim;
-    else if (d == "s-tfim" || d == "stfim")
-        c.design = Design::STfim;
-    else if (d == "a-tfim" || d == "atfim")
-        c.design = Design::ATfim;
-    else
+    if (!parseDesign(d, c.design))
         TEXPIM_FATAL("unknown design '", d, "'");
 
     c.angleThresholdRad =

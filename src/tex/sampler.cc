@@ -14,17 +14,15 @@ using sdetail::kMinFootprint;
 using sdetail::LevelGeom;
 using sdetail::levelGeom;
 
-/** Vector wrapper over sdetail::anisoOffsetsCached (the quad sampler
+/** Vector wrapper over sdetail::anisoOffsetsInto (the quad sampler
  *  writes into fixed lane arrays; the scalar path keeps its scratch
  *  vectors). */
 void
 anisoOffsets(const Texture &tex, const LodInfo &lod, unsigned level,
-             unsigned n, SamplerScratch &scratch,
-             std::vector<std::pair<int, int>> &out)
+             unsigned n, std::vector<std::pair<int, int>> &out)
 {
     out.resize(n);
-    sdetail::anisoOffsetsCached(tex, lod, level, n, scratch.offsetCache,
-                                out.data());
+    sdetail::anisoOffsetsInto(tex, lod, level, n, out.data());
 }
 
 ColorF
@@ -225,8 +223,8 @@ sampleConventional(const Texture &tex, const SampleCoords &coords,
 
     std::vector<std::pair<int, int>> &off0 = scratch.off0;
     std::vector<std::pair<int, int>> &off1 = scratch.off1;
-    anisoOffsets(tex, lod, l0, n, scratch, off0);
-    anisoOffsets(tex, lod, l1, n, scratch, off1);
+    anisoOffsets(tex, lod, l0, n, off0);
+    anisoOffsets(tex, lod, l1, n, off1);
 
     bool ewa = mode == FilterMode::TrilinearEwa;
     ColorF acc{0.0f, 0.0f, 0.0f, 0.0f};
@@ -305,7 +303,7 @@ sampleDecomposed(const Texture &tex, const SampleCoords &coords,
         LevelGeom g = levelGeom(tex, coords.uv, l);
         out.fx[li] = g.fx;
         out.fy[li] = g.fy;
-        anisoOffsets(tex, lod, l, n, scratch, offs);
+        anisoOffsets(tex, lod, l, n, offs);
 
         ColorF corner_vals[4];
         for (unsigned j = 0; j < 4; ++j) {

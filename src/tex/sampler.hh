@@ -205,29 +205,6 @@ struct QuadDecompOut
 };
 
 /**
- * Memo table for the anisotropic footprint offsets
- * (sdetail::anisoOffsetsInto): the offsets are a pure function of
- * (major direction, footprint span, N, level size), and the LOD unit
- * quantizes the direction to compass buckets and N to powers of two,
- * so a handful of distinct tables cover whole surfaces — while a cold
- * computation costs a sqrt plus 2N lround libm calls per mip level of
- * every request. Direct-mapped, per-thread (inside SamplerScratch);
- * collisions merely recompute, so hit patterns never affect results.
- */
-struct AnisoOffsetCache
-{
-    struct Entry
-    {
-        u32 dirx = 0, diry = 0, span = 0; //!< float bits of the key
-        u32 n = 0;                        //!< 0 marks an empty slot
-        u32 w = 0, h = 0;                 //!< level dimensions
-        std::pair<int, int> offs[kQuadMaxAniso];
-    };
-    static constexpr u32 kSlots = 64;
-    Entry slots[kSlots];
-};
-
-/**
  * Caller-owned scratch buffers reused across fragments, so the hot
  * sampling loops perform no per-fragment heap allocation after warmup.
  * One instance per thread: the sampler itself is stateless, and the
@@ -237,8 +214,6 @@ struct SamplerScratch
 {
     std::vector<std::pair<int, int>> off0; //!< aniso offsets, level 0
     std::vector<std::pair<int, int>> off1; //!< aniso offsets, level 1
-
-    AnisoOffsetCache offsetCache; //!< footprint-offset memo table
 
     // Result buffers for callers that only need the records
     // transiently (the texture paths' functional sample step).
@@ -307,7 +282,7 @@ sampleDecomposed(const Texture &tex, const SampleCoords &coords,
 void sampleConventionalQuad(const Texture &tex, const SampleCoords *coords,
                             unsigned count, FilterMode mode,
                             unsigned max_aniso, Addr block_mask,
-                            QuadConvOut &out, AnisoOffsetCache &ocache);
+                            QuadConvOut &out);
 
 /**
  * A-TFIM-decomposed filtering of up to kQuadLanes lanes, bit-identical
@@ -320,7 +295,7 @@ void sampleConventionalQuad(const Texture &tex, const SampleCoords *coords,
 void sampleDecomposedQuad(const Texture &tex, const SampleCoords *coords,
                           unsigned count, FilterMode mode,
                           unsigned max_aniso, Addr child_mask,
-                          QuadDecompOut &out, AnisoOffsetCache &ocache);
+                          QuadDecompOut &out);
 
 } // namespace texpim
 

@@ -16,8 +16,6 @@
 #ifndef TEXPIM_TEX_SAMPLER_DETAIL_HH
 #define TEXPIM_TEX_SAMPLER_DETAIL_HH
 
-#include <algorithm>
-#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -81,49 +79,6 @@ anisoOffsetsInto(const Texture &tex, const LodInfo &lod, unsigned level,
         out[i] = {int(std::lround(t * span * d.x)),
                   int(std::lround(t * span * d.y))};
     }
-}
-
-/**
- * Memoized anisoOffsetsInto: looks the table up in `cache` by the
- * complete input key (direction bits, span bits, N, level dimensions)
- * and copies it to `out`, computing the entry on a miss. Pure
- * memoization of a pure function — results are bit-identical to the
- * direct call for any hit pattern, so the scalar and quad samplers may
- * share or not share a cache freely. Footprints wider than the fixed
- * entry arrays fall through to the direct computation.
- */
-inline void
-anisoOffsetsCached(const Texture &tex, const LodInfo &lod, unsigned level,
-                   unsigned n, AnisoOffsetCache &cache,
-                   std::pair<int, int> *out)
-{
-    if (n > kQuadMaxAniso) {
-        anisoOffsetsInto(tex, lod, level, n, out);
-        return;
-    }
-    const TextureImage &img = tex.level(level);
-    u32 dx = std::bit_cast<u32>(lod.majorDirUv.x);
-    u32 dy = std::bit_cast<u32>(lod.majorDirUv.y);
-    u32 sp = std::bit_cast<u32>(lod.footprintSpan);
-    u32 w = img.width(), h = img.height();
-    u32 hsh = dx * 2654435761u;
-    hsh ^= dy * 2246822519u;
-    hsh ^= sp * 3266489917u;
-    hsh ^= n * 668265263u;
-    hsh ^= w * 374761393u + h;
-    hsh ^= hsh >> 15;
-    AnisoOffsetCache::Entry &e = cache.slots[hsh & (AnisoOffsetCache::kSlots - 1)];
-    if (e.n != n || e.dirx != dx || e.diry != dy || e.span != sp ||
-        e.w != w || e.h != h) {
-        e.dirx = dx;
-        e.diry = dy;
-        e.span = sp;
-        e.n = n;
-        e.w = w;
-        e.h = h;
-        anisoOffsetsInto(tex, lod, level, n, e.offs);
-    }
-    std::copy(e.offs, e.offs + n, out);
 }
 
 } // namespace sdetail

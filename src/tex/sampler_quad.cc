@@ -34,8 +34,7 @@ using sdetail::LevelGeom;
 void
 sampleConventionalQuad(const Texture &tex, const SampleCoords *coords,
                        unsigned count, FilterMode mode, unsigned max_aniso,
-                       Addr block_mask, QuadConvOut &out,
-                       AnisoOffsetCache &ocache)
+                       Addr block_mask, QuadConvOut &out)
 {
     TEXPIM_ASSERT(count >= 1 && count <= kQuadLanes, "bad quad lane count ",
                   count);
@@ -87,8 +86,8 @@ sampleConventionalQuad(const Texture &tex, const SampleCoords *coords,
         }
         g0[q] = sdetail::levelGeom(tex, coords[q].uv, l0[q]);
         g1[q] = sdetail::levelGeom(tex, coords[q].uv, l1[q]);
-        sdetail::anisoOffsetsCached(tex, lod, l0[q], n[q], ocache, off0[q]);
-        sdetail::anisoOffsetsCached(tex, lod, l1[q], n[q], ocache, off1[q]);
+        sdetail::anisoOffsetsInto(tex, lod, l0[q], n[q], off0[q]);
+        sdetail::anisoOffsetsInto(tex, lod, l1[q], n[q], off1[q]);
         v0[q] = tex.mipView(l0[q]);
         v1[q] = l1[q] != l0[q] ? tex.mipView(l1[q]) : v0[q];
         out.anisoRatio[q] = n[q];
@@ -194,8 +193,7 @@ sampleConventionalQuad(const Texture &tex, const SampleCoords *coords,
 void
 sampleDecomposedQuad(const Texture &tex, const SampleCoords *coords,
                      unsigned count, FilterMode mode, unsigned max_aniso,
-                     Addr child_mask, QuadDecompOut &out,
-                     AnisoOffsetCache &ocache)
+                     Addr child_mask, QuadDecompOut &out)
 {
     TEXPIM_ASSERT(count >= 1 && count <= kQuadLanes, "bad quad lane count ",
                   count);
@@ -240,7 +238,7 @@ sampleDecomposedQuad(const Texture &tex, const SampleCoords *coords,
             MipView v = tex.mipView(l);
             out.fx[q][li] = g.fx;
             out.fy[q][li] = g.fy;
-            sdetail::anisoOffsetsCached(tex, lod, l, n, ocache, offs);
+            sdetail::anisoOffsetsInto(tex, lod, l, n, offs);
 
             // Corner-minor, footprint-sample-major: the four corners'
             // accumulation chains are independent and their texels

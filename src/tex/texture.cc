@@ -98,17 +98,6 @@ Texture::Texture(std::string name, TextureImage base, Addr base_addr,
                    : u64(l.width()) * l.height() * kBytesPerTexel;
     }
     byte_size_ = off;
-
-    // Pre-unpack every level (post-round-trip for BC1) for the hot
-    // sampling loops; see the float_levels_ member comment.
-    float_levels_.reserve(levels_.size());
-    for (const auto &l : levels_) {
-        std::vector<ColorF> fl;
-        fl.reserve(l.pixels().size());
-        for (Rgba8 p : l.pixels())
-            fl.push_back(unpackColor(p));
-        float_levels_.push_back(std::move(fl));
-    }
 }
 
 namespace {
@@ -171,7 +160,7 @@ Texture::mipView(unsigned l) const
 {
     const TextureImage &img = level(l);
     MipView v;
-    v.pixelsF = float_levels_[l].data();
+    v.pixels = img.pixels().data();
     v.levelBase = base_addr_ + level_offsets_.at(l);
     v.xMask = img.width() - 1;
     v.yMask = img.height() - 1;

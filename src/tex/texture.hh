@@ -100,8 +100,8 @@ enum class TexelFormat : u8 {
 // texpim-lint: pool-shared borrowed texture views cross worker threads
 struct MipView
 {
-    const ColorF *pixelsF; //!< row-major pre-unpacked level pixels
-    Addr levelBase;        //!< baseAddr + levelOffset(l)
+    const Rgba8 *pixels; //!< row-major level pixels (the texel store)
+    Addr levelBase;      //!< baseAddr + levelOffset(l)
     u32 xMask;           //!< width - 1
     u32 yMask;           //!< height - 1
     u32 rowShift;        //!< log2(width)
@@ -111,15 +111,12 @@ struct MipView
     u32 unitShift;       //!< log2 bytes per addressed unit (2, or 3 for BC1)
     bool xMajor;         //!< leftover Morton bits come from x (width > height)
 
-    /** Functional texel read with repeat wrapping. The pre-unpacked
-     *  float pixels hold exactly unpackColor(texel), so one aligned
-     *  load replaces the four int->float conversions per fetch. */
+    /** Functional texel read with repeat wrapping; equals
+     *  Texture::fetchTexelF. */
     ColorF
     fetchF(int x, int y) const
     {
-        u32 wx = u32(x) & xMask;
-        u32 wy = u32(y) & yMask;
-        return pixelsF[(size_t(wy) << rowShift) + wx];
+        return fetchWrapped(u32(x) & xMask, u32(y) & yMask);
     }
 
     /** Byte address of texel (x, y), wrapped; equals Texture::texelAddr. */
@@ -138,7 +135,7 @@ struct MipView
     ColorF
     fetchWrapped(u32 wx, u32 wy) const
     {
-        return pixelsF[(size_t(wy) << rowShift) + wx];
+        return unpackColor(pixels[(size_t(wy) << rowShift) + wx]);
     }
 
     /** One 2x2 bilinear tap: corner addresses in a00/a10/a01/a11 order
@@ -265,12 +262,6 @@ class Texture
     Addr base_addr_;
     TexelFormat format_;
     std::vector<TextureImage> levels_;
-    // Per-level unpackColor() of every texel, row-major: the sampling
-    // hot loops read these through MipView so a texel costs one
-    // aligned 16-byte load instead of four int->float conversions.
-    // Host-side working memory only — simulated texture bytes stay
-    // the Rgba8/BC1 sizes in level_offsets_/byte_size_.
-    std::vector<std::vector<ColorF>> float_levels_;
     std::vector<u64> level_offsets_;
     u64 byte_size_ = 0;
 };

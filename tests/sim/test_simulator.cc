@@ -160,6 +160,29 @@ TEST(Simulator, ConfigRoundTrip)
     EXPECT_EQ(sc.gpu.clusters, 8u);
 }
 
+// The one design-token parser behind SimConfig, the CLI, perf_render and
+// the examples: every alias maps to its design, anything else is
+// rejected and leaves the output untouched.
+TEST(Simulator, ParseDesignAcceptsEveryAliasOnly)
+{
+    const std::pair<const char *, Design> tokens[] = {
+        {"baseline", Design::Baseline}, {"b-pim", Design::BPim},
+        {"bpim", Design::BPim},         {"s-tfim", Design::STfim},
+        {"stfim", Design::STfim},       {"a-tfim", Design::ATfim},
+        {"atfim", Design::ATfim},
+    };
+    for (const auto &[token, want] : tokens) {
+        Design d = Design::Baseline;
+        EXPECT_TRUE(parseDesign(token, d)) << token;
+        EXPECT_EQ(d, want) << token;
+    }
+    for (const char *bad : {"", "Baseline", "atfim ", "a_tfim", "pim"}) {
+        Design d = Design::STfim;
+        EXPECT_FALSE(parseDesign(bad, d)) << bad;
+        EXPECT_EQ(d, Design::STfim) << bad;
+    }
+}
+
 TEST(SimulatorDeath, UnknownDesignIsFatal)
 {
     Config cfg;

@@ -41,7 +41,6 @@ TEST_P(QuadConvDifferential, MatchesScalarBitForBit)
                     tc.fmt);
         Rng rng(0xABCDu + max_aniso);
         QuadConvOut out;
-        AnisoOffsetCache ocache;
         unsigned coord_idx = 0;
         for (unsigned batch = 0; batch < 24; ++batch) {
             // Lane counts 1..4 all exercised (partial quads at
@@ -52,7 +51,7 @@ TEST_P(QuadConvDifferential, MatchesScalarBitForBit)
                 coords[q] = makeCoords(rng, coord_idx++, tc.w);
 
             sampleConventionalQuad(tex, coords, count, mode, max_aniso,
-                                   kLineMask, out, ocache);
+                                   kLineMask, out);
 
             for (unsigned q = 0; q < count; ++q) {
                 SCOPED_TRACE(std::string(tc.tag) + " batch " +
@@ -117,7 +116,6 @@ TEST_P(QuadDecompDifferential, MatchesScalarBitForBit)
                     tc.fmt);
         Rng rng(0x5EEDu + max_aniso);
         QuadDecompOut out;
-        AnisoOffsetCache ocache;
         unsigned coord_idx = 0;
         for (unsigned batch = 0; batch < 24; ++batch) {
             unsigned count = 1 + unsigned(batch % kQuadLanes);
@@ -126,7 +124,7 @@ TEST_P(QuadDecompDifferential, MatchesScalarBitForBit)
                 coords[q] = makeCoords(rng, coord_idx++, tc.w);
 
             sampleDecomposedQuad(tex, coords, count, mode, max_aniso,
-                                 kBurstMask, out, ocache);
+                                 kBurstMask, out);
 
             for (unsigned q = 0; q < count; ++q) {
                 SCOPED_TRACE(std::string(tc.tag) + " batch " +
@@ -191,38 +189,8 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(1u, 4u, 16u)),
     decompParamName);
 
-// The footprint-offset memo table must be semantically invisible: a
-// warm (possibly colliding) cache and a cold one produce identical
-// outputs. Two textures of different sizes interleaved with varied
-// anisotropy churn the 64 direct-mapped slots well past capacity.
-TEST(AnisoOffsetCacheTransparency, WarmAndColdCachesAgree)
-{
-    Texture a("a", noiseImage(256, 256, 23), 0x10000);
-    Texture b("b", noiseImage(64, 64, 29), 0x80000, TexelFormat::Bc1);
-    Rng rng(0xCAFE);
-    AnisoOffsetCache warm;
-    QuadConvOut got, want;
-    for (unsigned i = 0; i < 200; ++i) {
-        const Texture &tex = (i & 1) ? b : a;
-        unsigned size = (i & 1) ? 64 : 256;
-        SampleCoords c = makeCoords(rng, i, size);
-        AnisoOffsetCache cold;
-        sampleConventionalQuad(tex, &c, 1, FilterMode::Trilinear, 16,
-                               kLineMask, got, warm);
-        sampleConventionalQuad(tex, &c, 1, FilterMode::Trilinear, 16,
-                               kLineMask, want, cold);
-        SCOPED_TRACE("iteration " + std::to_string(i));
-        EXPECT_TRUE(colorBitsEqual(got.color[0], want.color[0]));
-        EXPECT_EQ(got.texels[0], want.texels[0]);
-        EXPECT_EQ(got.route[0], want.route[0]);
-        ASSERT_EQ(got.blockCount[0], want.blockCount[0]);
-        for (u32 k = 0; k < got.blockCount[0]; ++k)
-            EXPECT_EQ(got.blocks[0][k], want.blocks[0][k]);
-    }
-}
-
 // Same call twice must produce identical bits (no hidden state in the
-// quad path besides the transparent offset cache).
+// quad path).
 TEST(QuadSamplerDeterminism, RepeatCallsAreBitIdentical)
 {
     Texture tex("t", noiseImage(128, 128, 31), 0x20000);
@@ -231,11 +199,10 @@ TEST(QuadSamplerDeterminism, RepeatCallsAreBitIdentical)
     for (unsigned q = 0; q < kQuadLanes; ++q)
         coords[q] = makeCoords(rng, q, 128);
     QuadConvOut first, second;
-    AnisoOffsetCache ocache;
     sampleConventionalQuad(tex, coords, kQuadLanes, FilterMode::Trilinear,
-                           16, kLineMask, first, ocache);
+                           16, kLineMask, first);
     sampleConventionalQuad(tex, coords, kQuadLanes, FilterMode::Trilinear,
-                           16, kLineMask, second, ocache);
+                           16, kLineMask, second);
     for (unsigned q = 0; q < kQuadLanes; ++q) {
         EXPECT_TRUE(colorBitsEqual(first.color[q], second.color[q]));
         EXPECT_EQ(first.route[q], second.route[q]);

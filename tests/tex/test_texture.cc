@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
+#include "support/sampler_cases.hh"
 #include "tex/texture.hh"
 
 namespace texpim {
@@ -98,6 +100,53 @@ TEST(Texture, MipIsBoxAverage)
     EXPECT_NEAR(m.r, 128, 1);
     EXPECT_NEAR(m.g, 128, 1);
     EXPECT_EQ(m.b, 0);
+}
+
+// MipView is the quad sampler's only texel accessor: it reads the level
+// pixels directly and re-derives the Morton/BC1 addressing from cached
+// masks, so check it against the Texture accessors at every level, in
+// both formats, for square and non-square chains, over coordinates that
+// wrap twice in each direction.
+TEST(MipView, MatchesTextureAccessorsAtEveryLevel)
+{
+    struct Case
+    {
+        unsigned w, h;
+        TexelFormat fmt;
+    };
+    const Case cases[] = {
+        {64, 16, TexelFormat::Rgba8}, {16, 64, TexelFormat::Rgba8},
+        {32, 32, TexelFormat::Rgba8}, {64, 16, TexelFormat::Bc1},
+        {16, 64, TexelFormat::Bc1},   {32, 32, TexelFormat::Bc1},
+    };
+    for (const Case &c : cases) {
+        Texture t("t", noiseImage(c.w, c.h, 17 + c.w), 0x40000, c.fmt);
+        for (unsigned l = 0; l < t.levels(); ++l) {
+            SCOPED_TRACE(std::to_string(c.w) + "x" + std::to_string(c.h) +
+                         (c.fmt == TexelFormat::Bc1 ? " bc1" : " rgba8") +
+                         " level " + std::to_string(l));
+            MipView v = t.mipView(l);
+            int w = int(t.width(l)), h = int(t.height(l));
+            for (int y = -2 * h; y < 2 * h; ++y) {
+                for (int x = -2 * w; x < 2 * w; ++x) {
+                    ASSERT_TRUE(colorBitsEqual(v.fetchF(x, y),
+                                               t.fetchTexelF(l, x, y)))
+                        << "texel (" << x << "," << y << ")";
+                    ASSERT_EQ(v.addr(x, y), t.texelAddr(l, x, y))
+                        << "texel (" << x << "," << y << ")";
+
+                    MipView::Tap2x2 tap = v.tap(x, y);
+                    ASSERT_EQ(tap.a[0], v.addr(x, y));
+                    ASSERT_EQ(tap.a[1], v.addr(x + 1, y));
+                    ASSERT_EQ(tap.a[2], v.addr(x, y + 1));
+                    ASSERT_EQ(tap.a[3], v.addr(x + 1, y + 1));
+                    ASSERT_TRUE(colorBitsEqual(
+                        v.fetchWrapped(tap.wx1, tap.wy1),
+                        t.fetchTexelF(l, x + 1, y + 1)));
+                }
+            }
+        }
+    }
 }
 
 TEST(TextureStore, AllocationsAlignedAndDisjoint)
